@@ -2,14 +2,9 @@
 
 from .harvest_uplink import (
     HarvestConstants,
-    UplinkRate,
     harvest_constants,
     harvested_energy,
-    rician_pdf,
     sample_rician,
-    uplink_budget,
-    uplink_rate,
-    uplink_snr,
 )
 from .objective import (
     ObjectiveEval,
@@ -39,10 +34,8 @@ from .scenario import (
 )
 from .vlc_channel import (
     ChannelGain,
-    DownlinkRate,
     channel_gain,
     concentrator_gain,
-    downlink_rate,
     lambertian_order,
 )
 

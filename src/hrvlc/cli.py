@@ -10,9 +10,10 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,21 +69,33 @@ def _fading_power(mt, seed, draw_index):
     return h * h
 
 
+def _prepare(config_path, mt_index, seed, n_draws=None):
+    """(scenario, digest, serving AP, h_sq, coefficients) of one terminal.
+
+    h_sq is fading draw 0, or with n_draws an array of draws 0..n_draws-1.
+    """
+    scn, digest = _load(config_path)
+    if not 0 <= mt_index < len(scn.mts):
+        raise ValueError(f"--mt must be in [0, {len(scn.mts)})")
+    serving = associate(scn, mt_index)
+    mt = scn.mts[mt_index]
+    if n_draws is None:
+        h_sq = _fading_power(mt, seed, 0)
+    else:
+        h_sq = np.array([_fading_power(mt, seed, i) for i in range(n_draws)])
+    coeffs = reduce_coefficients(scn, mt_index, serving, h_sq)
+    return scn, digest, serving, h_sq, coeffs
+
+
 def cmd_sweep(config_path, mt_index, n_points, seed, out_path):
     """Rate components on a uniform alpha grid for one fading draw."""
     start = time.perf_counter()
-    scn, digest = _load(config_path)
     if n_points < 2:
         raise ValueError("--points must be >= 2")
-    serving = associate(scn, mt_index)
-    h_sq = _fading_power(scn.mts[mt_index], seed, 0)
-    coeffs = reduce_coefficients(scn, mt_index, serving, h_sq)
-    consts = harvest_constants(scn, mt_index, serving)
-    rows = []
-    for alpha in np.linspace(0.0, 1.0, n_points):
-        ev = total_rate(coeffs, float(alpha))
-        rows.append((ev.alpha, ev.total, ev.downlink_term, ev.uplink_term,
-                     harvested_energy(consts, ev.alpha)))
+    scn, digest, serving, _, coeffs = _prepare(config_path, mt_index, seed)
+    ev = total_rate(coeffs, np.linspace(0.0, 1.0, n_points))
+    e_h = harvested_energy(harvest_constants(scn, mt_index, serving), ev.alpha)
+    rows = list(zip(ev.alpha, ev.total, ev.downlink_term, ev.uplink_term, e_h))
     _write_csv(out_path, ["alpha", "R_total", "R_d_term", "R_u_term", "E_H"],
                rows)
     return RunReport("sweep", digest, seed, tuple(rows),
@@ -93,15 +106,10 @@ def cmd_solve(config_path, mt_index, method, seed, out_path,
               eps=1e-9, n_points=10001):
     """Single optimal-alpha solve by one of the three solver routes."""
     start = time.perf_counter()
-    scn, digest = _load(config_path)
-    serving = associate(scn, mt_index)
-    h_sq = _fading_power(scn.mts[mt_index], seed, 0)
-    coeffs = reduce_coefficients(scn, mt_index, serving, h_sq)
-    if method == "closed":
-        res = solve_closed_form(coeffs)
-        row = (res.kkt.alpha, res.rate, res.kkt.lam, res.kkt.mu, method, 0)
-    elif method == "iter":
-        res = solve_iterative(coeffs, eps=eps)
+    _, digest, _, _, coeffs = _prepare(config_path, mt_index, seed)
+    if method in ("closed", "iter"):
+        res = (solve_closed_form(coeffs) if method == "closed"
+               else solve_iterative(coeffs, eps=eps))
         row = (res.kkt.alpha, res.rate, res.kkt.lam, res.kkt.mu, method,
                res.iterations)
     elif method == "grid":
@@ -119,17 +127,12 @@ def cmd_solve(config_path, mt_index, method, seed, out_path,
 def cmd_converge(config_path, mt_index, eps, seed, out_path):
     """Bisection traces, one block per VLC bandwidth in the config sweep list."""
     start = time.perf_counter()
-    scn, digest = _load(config_path)
-    if eps <= 0:
-        raise ValueError("--eps must be > 0")
-    bandwidths = scn.bv_sweep or (scn.params.b_v,)
-    h_sq = _fading_power(scn.mts[mt_index], seed, 0)
+    scn, digest, _, _, coeffs = _prepare(config_path, mt_index, seed)
     rows = []
-    for b_v in bandwidths:
-        sub = scn.with_vlc_bandwidth(b_v)
-        serving = associate(sub, mt_index)
-        coeffs = reduce_coefficients(sub, mt_index, serving, h_sq)
-        res = solve_iterative(coeffs, eps=eps)
+    # association does not depend on B_v: swap only b = N0*B_v and b1 = B_v
+    for b_v in scn.bv_sweep or (scn.params.b_v,):
+        res = solve_iterative(replace(coeffs, b=scn.params.n0 * b_v, b1=b_v),
+                              eps=eps)
         if res.trace:
             rows.extend(res.trace)
         else:
@@ -143,23 +146,14 @@ def cmd_converge(config_path, mt_index, eps, seed, out_path):
 def cmd_montecarlo(config_path, mt_index, n_draws, seed, out_path):
     """Per-fading-draw solves plus mean/std summary rows."""
     start = time.perf_counter()
-    scn, digest = _load(config_path)
     if n_draws < 1:
         raise ValueError("--draws must be >= 1")
-    serving = associate(scn, mt_index)
-    mt = scn.mts[mt_index]
-    rows = []
-    alphas = np.empty(n_draws)
-    rates = np.empty(n_draws)
-    for i in range(n_draws):
-        h_sq = _fading_power(mt, seed, i)
-        coeffs = reduce_coefficients(scn, mt_index, serving, h_sq)
-        res = solve_closed_form(coeffs)
-        alphas[i] = res.kkt.alpha
-        rates[i] = res.rate
-        rows.append((i, h_sq, res.kkt.alpha, res.rate))
-    rows.append(("mean", "", float(np.mean(alphas)), float(np.mean(rates))))
-    rows.append(("std", "", float(np.std(alphas)), float(np.std(rates))))
+    _, digest, _, h_sq, coeffs = _prepare(config_path, mt_index, seed, n_draws)
+    res = solve_closed_form(coeffs)
+    alphas = res.kkt.alpha
+    rows = list(zip(range(n_draws), h_sq, alphas, res.rate))
+    rows.append(("mean", "", float(np.mean(alphas)), float(np.mean(res.rate))))
+    rows.append(("std", "", float(np.std(alphas)), float(np.std(res.rate))))
     _write_csv(out_path, ["draw_index", "h_sq", "alpha_star", "R_star"], rows)
     return RunReport("montecarlo", digest, seed, tuple(rows),
                      time.perf_counter() - start)
@@ -180,10 +174,13 @@ def _read_numeric_csv(csv_path):
         if len(row) != len(header):
             raise MalformedCsvError(f"{csv_path}: ragged row {row!r}")
         try:
-            parsed.append([float(v) for v in row])
+            values = [float(v) for v in row]
         except ValueError as exc:
             raise MalformedCsvError(
                 f"{csv_path}: non-numeric value in {row!r}") from exc
+        if not all(map(math.isfinite, values)):
+            raise MalformedCsvError(f"{csv_path}: non-finite value in {row!r}")
+        parsed.append(values)
     return header, parsed
 
 
@@ -316,7 +313,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (HrvlcError, ValueError, IndexError) as exc:
+    except (HrvlcError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

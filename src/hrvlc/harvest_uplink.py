@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
 from .scenario import link_geometry
 from .vlc_channel import lambertian_order
@@ -25,14 +24,6 @@ class HarvestConstants:
 
     k1: float
     k2: float
-
-
-@dataclass(frozen=True)
-class UplinkRate:
-    e_h: float    # harvested energy [J]
-    p_h: float    # uplink transmit power [W]
-    snr: float
-    rate: float   # bits/s
 
 
 def _harvest_term(ap, mt):
@@ -52,29 +43,15 @@ def harvest_constants(scn, mt_index, serving_index):
 
 
 def harvested_energy(consts, alpha):
-    """Energy harvested over the downlink slot at splitting factor alpha."""
+    """Energy harvested over the downlink slot; alpha may be an array."""
     _check_alpha(alpha)
     return (1.0 - alpha) * consts.k1 + consts.k2
 
 
-def rician_pdf(r, k, omega):
-    """Rician envelope density; accepts scalars or numpy arrays in r.
-
-    Evaluated via the exponentially scaled Bessel function so large
-    arguments do not overflow.
-    """
-    if k < 0:
-        raise ValueError("Rician factor must be >= 0")
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("envelope must be >= 0")
-    kp1 = 1.0 + k
-    bessel_arg = 2.0 * r * math.sqrt(k * kp1 / omega)
-    density = (2.0 * r * kp1 / omega) * i0e(bessel_arg) * np.exp(
-        -k - r * r * kp1 / omega + bessel_arg)
-    return density if density.ndim else float(density)
+def _check_alpha(alpha):
+    alpha = np.asarray(alpha)
+    if not np.all((alpha >= 0.0) & (alpha <= 1.0)):  # NaN fails too
+        raise ValueError("alpha must be in [0, 1]")
 
 
 def sample_rician(k, omega, seed, size=None):
@@ -87,35 +64,9 @@ def sample_rician(k, omega, seed, size=None):
         raise ValueError("Rician factor must be >= 0")
     if omega <= 0:
         raise ValueError("omega must be > 0")
-    rng = np.random.default_rng(seed) if not isinstance(
-        seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)  # a Generator passes through as is
     n = 1 if size is None else size
     z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
     h = math.sqrt(omega / (1.0 + k)) * np.abs(math.sqrt(k) + z)
     return float(h[0]) if size is None else h
 
-
-def uplink_snr(consts, alpha, h_sq, mt, params):
-    """Uplink SNR for a given fading power |h|^2 at splitting factor alpha."""
-    _check_alpha(alpha)
-    e_h = harvested_energy(consts, alpha)
-    return e_h * h_sq / (params.t_u * params.n0 * mt.rf_distance ** mt.pathloss_exp)
-
-
-def uplink_rate(snr, params):
-    """Uplink rate over the RF bandwidth."""
-    return params.b_r * math.log2(1.0 + snr)
-
-
-def uplink_budget(scn, mt_index, serving_index, alpha, h_sq):
-    """Full uplink chain: harvested energy, transmit power, SNR and rate."""
-    consts = harvest_constants(scn, mt_index, serving_index)
-    e_h = harvested_energy(consts, alpha)
-    snr = uplink_snr(consts, alpha, h_sq, scn.mts[mt_index], scn.params)
-    return UplinkRate(e_h=e_h, p_h=e_h / scn.params.t_u, snr=snr,
-                      rate=uplink_rate(snr, scn.params))
-
-
-def _check_alpha(alpha):
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")

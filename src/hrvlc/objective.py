@@ -8,6 +8,9 @@ with eight nonnegative coefficients computed once per (scenario, terminal,
 fading draw).  The first and second derivatives below are the exact
 derivatives of that expression; the second is never positive, so R is
 concave on [0, 1].
+
+Coefficients and alpha may be floats or broadcastable numpy arrays: every
+function works element by element, and a scalar call is a batch of one.
 """
 
 import math
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harvest_uplink import harvest_constants
+from .harvest_uplink import _check_alpha, harvest_constants
 from .vlc_channel import channel_gain
 
 LN2 = math.log(2.0)
@@ -42,7 +45,7 @@ class ObjectiveEval:
 
 
 def reduce_coefficients(scn, mt_index, serving_index, h_sq):
-    """Collapse a scenario and one fading draw into the eight coefficients."""
+    """The eight coefficients; an array of fading powers h_sq batches d, e."""
     mt = scn.mts[mt_index]
     params = scn.params
     serving = scn.aps[serving_index]
@@ -64,37 +67,39 @@ def reduce_coefficients(scn, mt_index, serving_index, h_sq):
 
 def downlink_log_term(coeffs):
     """The alpha-independent downlink factor b1*log2(1 + a/(b+c))."""
-    return coeffs.b1 * math.log2(1.0 + coeffs.a / (coeffs.b + coeffs.c))
+    return coeffs.b1 * _log2(1.0 + coeffs.a / (coeffs.b + coeffs.c))
+
+
+def _log2(x):
+    # libm's log2 element by element, which fixes the CSV bytes of every
+    # command; numpy's SIMD log2 can differ from it in the last ulp
+    if np.ndim(x) == 0:
+        return math.log2(x)
+    return np.vectorize(math.log2, otypes=[float])(x)
 
 
 def total_rate(coeffs, alpha):
-    """Evaluate R(alpha); alpha may be a scalar or a numpy array."""
+    """Evaluate R(alpha) with its downlink and uplink terms."""
     _check_alpha(alpha)
     down = np.multiply(alpha, downlink_log_term(coeffs))
     up = coeffs.b2 * np.log2(
         1.0 + ((1.0 - np.asarray(alpha)) * coeffs.d + coeffs.e) / coeffs.g)
-    if np.ndim(alpha) == 0:
-        return ObjectiveEval(alpha=float(alpha), total=float(down + up),
-                             downlink_term=float(down), uplink_term=float(up))
-    return ObjectiveEval(alpha=np.asarray(alpha, dtype=float),
+    return ObjectiveEval(alpha=np.asarray(alpha, dtype=float)[()],
                          total=down + up, downlink_term=down, uplink_term=up)
 
 
 def rate_derivative(coeffs, alpha):
     """dR/dalpha, exact."""
-    _check_alpha(alpha)
-    denom = coeffs.g + coeffs.d * (1.0 - alpha) + coeffs.e
-    return downlink_log_term(coeffs) - (coeffs.b2 * coeffs.d / LN2) / denom
+    return (downlink_log_term(coeffs)
+            - (coeffs.b2 * coeffs.d / LN2) / _uplink_denominator(coeffs, alpha))
 
 
 def rate_second_derivative(coeffs, alpha):
     """d2R/dalpha2, exact; never positive."""
-    _check_alpha(alpha)
-    denom = coeffs.g + coeffs.d * (1.0 - alpha) + coeffs.e
+    denom = _uplink_denominator(coeffs, alpha)
     return -(coeffs.b2 * coeffs.d * coeffs.d / LN2) / (denom * denom)
 
 
-def _check_alpha(alpha):
-    arr = np.asarray(alpha)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("alpha must be in [0, 1]")
+def _uplink_denominator(coeffs, alpha):
+    _check_alpha(alpha)
+    return coeffs.g + coeffs.d * (1.0 - alpha) + coeffs.e

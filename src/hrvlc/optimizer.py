@@ -2,18 +2,20 @@
 
 R is concave with a strictly decreasing derivative whenever the harvest
 coefficient d is positive, so the box-constrained maximization reduces to
-clamping the unique stationary point.  The iterative route bisects the
-derivative sign change instead; the grid oracle brute-forces the
-objective and is kept deliberately independent of both.
+clamping the unique stationary point.  The closed form works element by
+element on batched coefficients.  The iterative route bisects the
+derivative sign change of one instance instead; the grid oracle
+brute-forces the objective and is kept deliberately independent of both.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateObjective
-from .objective import LN2, downlink_log_term, rate_derivative, total_rate
+from .objective import (LN2, downlink_log_term, rate_derivative,
+                        rate_second_derivative, total_rate)
 
 DEFAULT_EPS = 1e-9
 DEFAULT_MAX_ITER = 200
@@ -43,34 +45,40 @@ class OptResult:
         return len(self.trace)
 
 
-def _derivative_free(coeffs, alpha):
-    # same expression as rate_derivative but without the [0,1] domain check,
-    # for analytic continuation slightly outside the box
-    denom = coeffs.g + coeffs.d * (1.0 - alpha) + coeffs.e
-    return downlink_log_term(coeffs) - (coeffs.b2 * coeffs.d / LN2) / denom
-
-
 def stationary_alpha(coeffs):
     """Unconstrained root of dR/dalpha; may fall outside [0, 1].
 
     Raises DegenerateObjective when the objective is affine in alpha
     (d = 0) or the downlink term vanishes (a = 0), in which case the
-    optimum sits on a boundary.
+    optimum sits on a boundary; for a batch, when any element is.
     """
     big_a = downlink_log_term(coeffs)
-    if coeffs.d == 0.0 or big_a == 0.0:
+    if np.any((coeffs.d == 0.0) | (big_a == 0.0)):
         raise DegenerateObjective("no interior stationary point")
-    return 1.0 + (coeffs.g + coeffs.e) / coeffs.d - coeffs.b2 / (big_a * LN2)
+    return _root(coeffs, big_a)
+
+
+def _root(coeffs, big_a):
+    # inf or nan where d = 0 or A = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (1.0 + np.divide(coeffs.g + coeffs.e, coeffs.d)
+                - np.divide(coeffs.b2, big_a * LN2))
+
+
+def _tie_rule(coeffs, big_a, alpha):
+    # degenerate objectives: an affine R (d = 0) rises with slope A >= 0, so
+    # full decoding, constant R included; without downlink (A = 0) it falls
+    return np.where(coeffs.d == 0.0, 1.0,
+                    np.where(big_a == 0.0, 0.0, alpha))[()]
 
 
 def _with_multipliers(coeffs, alpha):
-    if alpha >= 1.0:
-        return KktPoint(alpha=1.0, lam=max(0.0, rate_derivative(coeffs, 1.0)),
-                        mu=0.0)
-    if alpha <= 0.0:
-        return KktPoint(alpha=0.0, lam=0.0,
-                        mu=max(0.0, -rate_derivative(coeffs, 0.0)))
-    return KktPoint(alpha=alpha, lam=0.0, mu=0.0)
+    # each multiplier takes up the outward pull of dR/dalpha at its bound
+    at_one = rate_derivative(coeffs, 1.0)
+    at_zero = rate_derivative(coeffs, 0.0)
+    lam = np.where((alpha >= 1.0) & (at_one > 0.0), at_one, 0.0)[()]
+    mu = np.where((alpha <= 0.0) & (at_zero < 0.0), -at_zero, 0.0)[()]
+    return KktPoint(alpha=alpha, lam=lam, mu=mu)
 
 
 def _finish(coeffs, kkt, trace=()):
@@ -80,12 +88,8 @@ def _finish(coeffs, kkt, trace=()):
 
 def solve_closed_form(coeffs):
     """Clamp of the stationary point, multipliers recovered at the bindings."""
-    try:
-        alpha = min(1.0, max(0.0, stationary_alpha(coeffs)))
-    except DegenerateObjective:
-        # affine objective: boundary chosen by the derivative sign;
-        # a constant objective resolves to full decoding
-        alpha = 1.0 if downlink_log_term(coeffs) > 0.0 or coeffs.d == 0.0 else 0.0
+    big_a = downlink_log_term(coeffs)
+    alpha = _tie_rule(coeffs, big_a, np.clip(_root(coeffs, big_a), 0.0, 1.0))
     return _finish(coeffs, _with_multipliers(coeffs, alpha))
 
 
@@ -97,18 +101,15 @@ def solve_iterative(coeffs, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER):
     trace.  A final Newton polish drives the stationarity residual of
     interior solutions to machine precision without touching the trace.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be finite and > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     deriv_at_zero = rate_derivative(coeffs, 0.0)
-    if deriv_at_zero <= 0.0:
-        # constant objective (d = 0, zero derivative) ties toward full decoding,
-        # matching the closed-form tie rule
-        alpha = 1.0 if deriv_at_zero == 0.0 and coeffs.d == 0.0 else 0.0
+    if deriv_at_zero <= 0.0 or rate_derivative(coeffs, 1.0) >= 0.0:
+        bound = 0.0 if deriv_at_zero <= 0.0 else 1.0
+        alpha = _tie_rule(coeffs, downlink_log_term(coeffs), bound)
         return _finish(coeffs, _with_multipliers(coeffs, alpha))
-    if rate_derivative(coeffs, 1.0) >= 0.0:
-        return _finish(coeffs, _with_multipliers(coeffs, 1.0))
 
     lo, hi = 0.0, 1.0
     trace = []
@@ -131,12 +132,10 @@ def _newton_polish(coeffs, alpha, steps=2):
     # dR/dalpha is smooth and strictly decreasing here; a couple of Newton
     # steps from the bisection estimate land on the root to machine precision
     for _ in range(steps):
-        denom = coeffs.g + coeffs.d * (1.0 - alpha) + coeffs.e
-        slope = -(coeffs.b2 * coeffs.d * coeffs.d / LN2) / (denom * denom)
+        slope = rate_second_derivative(coeffs, alpha)
         if slope == 0.0:
             break
-        step = _derivative_free(coeffs, alpha) / slope
-        candidate = alpha - step
+        candidate = alpha - rate_derivative(coeffs, alpha) / slope
         if not 0.0 < candidate < 1.0:
             break
         alpha = candidate

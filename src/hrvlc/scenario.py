@@ -7,7 +7,7 @@ concurrent read access.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     ConfigParseError,
@@ -73,10 +73,6 @@ class Scenario:
     mts: tuple               # MobileTerminal, ...
     params: SystemParams
     bv_sweep: tuple = ()     # optional VLC bandwidths for convergence studies
-
-    def with_vlc_bandwidth(self, b_v):
-        """Copy of this scenario with the VLC bandwidth replaced."""
-        return replace(self, params=replace(self.params, b_v=b_v))
 
 
 _ROOM_KEYS = {"x", "y", "z"}

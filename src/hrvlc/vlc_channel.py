@@ -1,4 +1,4 @@
-"""Lambertian LOS channel gain, downlink SINR and downlink rate."""
+"""Lambertian line-of-sight channel gain of an AP-to-terminal link."""
 
 import math
 from dataclasses import dataclass
@@ -10,12 +10,6 @@ from .scenario import link_geometry
 class ChannelGain:
     value: float
     in_fov: bool
-
-
-@dataclass(frozen=True)
-class DownlinkRate:
-    sinr: float
-    rate: float   # bits/s
 
 
 def lambertian_order(half_angle):
@@ -45,21 +39,3 @@ def channel_gain(ap, mt):
              * mt.filter_gain * g) / (2.0 * math.pi * d * d)
     return ChannelGain(value, True)
 
-
-def downlink_rate(scn, mt_index, serving_index):
-    """Downlink SINR and rate for one MT served by one AP.
-
-    Interference sums transmit-power-weighted gains of the other in-FOV
-    APs; the noise floor is the PSD integrated over the VLC bandwidth.
-    """
-    mt = scn.mts[mt_index]
-    params = scn.params
-    serving = scn.aps[serving_index]
-    signal = serving.power * channel_gain(serving, mt).value
-    interference = 0.0
-    for k, ap in enumerate(scn.aps):
-        if k == serving_index:
-            continue
-        interference += ap.power * channel_gain(ap, mt).value
-    sinr = signal / (params.n0 * params.b_v + interference)
-    return DownlinkRate(sinr=sinr, rate=params.b_v * math.log2(1.0 + sinr))

@@ -14,23 +14,21 @@ from scipy import integrate, stats
 
 from hrvlc import (
     associate,
-    downlink_rate,
     harvest_constants,
     harvested_energy,
     rate_derivative,
     rate_second_derivative,
     reduce_coefficients,
-    rician_pdf,
     sample_rician,
     solve_closed_form,
     solve_iterative,
     total_rate,
-    uplink_budget,
 )
 from hrvlc.cli import cmd_converge, cmd_montecarlo, cmd_solve, cmd_sweep
 from hrvlc.scenario import MobileTerminal, Point3, Scenario, SystemParams, VlcAp
 
 from conftest import CONFIG_DIR, random_coeffs
+from oracles import downlink_rate, rician_pdf, uplink_budget
 
 TWO_AP = str(CONFIG_DIR / "two_ap_room.json")
 SINGLE_AP = str(CONFIG_DIR / "single_ap_room.json")

@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +223,14 @@ class TestChart:
         with pytest.raises(MalformedCsvError):
             cmd_chart(str(header_only), str(tmp_path / "y.svg"))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"alpha,R_total\n0,1\n0.5,{cell}\n1,2\n")
+        svg = tmp_path / "bad.svg"
+        assert main(["chart", "--csv", str(bad), "--out", str(svg)]) == 1
+        assert not svg.exists()
+
 
 class TestMainExitCodes:
     def test_success(self, tmp_path):
@@ -237,6 +249,25 @@ class TestMainExitCodes:
         assert main(["solve", "--config", TWO_AP, "--mt", "5",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("command", ["sweep", "solve", "converge",
+                                         "montecarlo"])
+    @pytest.mark.parametrize("mt", ["-1", "1"])  # the two-AP room has one MT
+    def test_mt_out_of_range_is_one(self, tmp_path, command, mt):
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", TWO_AP, "--mt", mt,
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["solve", "--method", "iter"],
+                                      ["converge"]],
+                             ids=["solve-iter", "converge"])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+    def test_bad_eps_is_one(self, tmp_path, argv, eps):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--config", TWO_AP, "--mt", "0", "--eps", eps,
+                            "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_missing_file_is_two(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json"),
                      "--mt", "0", "--out", str(tmp_path / "x.csv")]) == 2
@@ -250,3 +281,15 @@ class TestMainExitCodes:
         empty.write_text("")
         assert main(["chart", "--csv", str(empty),
                      "--out", str(tmp_path / "x.svg")]) == 1
+
+
+def test_cli_import_leaves_scipy_out():
+    import hrvlc
+
+    src = str(Path(hrvlc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, hrvlc.cli; "
+            "sys.exit(any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0

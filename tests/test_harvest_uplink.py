@@ -10,14 +10,11 @@ from hrvlc import (
     harvested_energy,
     lambertian_order,
     link_geometry,
-    rician_pdf,
     sample_rician,
-    uplink_budget,
-    uplink_rate,
-    uplink_snr,
 )
 
 from conftest import make_ap, make_mt, make_params, make_scenario
+from oracles import rician_pdf, uplink_budget, uplink_rate, uplink_snr
 
 
 class TestHarvestConstants:

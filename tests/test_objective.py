@@ -7,18 +7,16 @@ from hypothesis import given, settings, strategies as st
 from hrvlc import (
     associate,
     channel_gain,
-    downlink_rate,
-    harvest_constants,
     lambertian_order,
     link_geometry,
     rate_derivative,
     rate_second_derivative,
     reduce_coefficients,
     total_rate,
-    uplink_budget,
 )
 
 from conftest import make_ap, make_coeffs, make_mt, make_scenario, random_coeffs
+from oracles import downlink_rate, uplink_budget
 
 LN2 = math.log(2)
 

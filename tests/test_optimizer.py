@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from hrvlc import (
+    ReducedCoefficients,
     grid_oracle,
     rate_derivative,
     solve_closed_form,
@@ -111,6 +113,24 @@ class TestClosedForm:
             assert_kkt(coeffs, res)
             assert res.rate == total_rate(coeffs, res.kkt.alpha).total
 
+    def test_batch_equals_batches_of_one_bitwise(self):
+        rng = np.random.default_rng(26)
+        singles = [random_coeffs(rng, force=("a0", "d0", None)[i % 3])
+                   for i in range(300)]
+        batch = ReducedCoefficients(**{
+            f.name: np.array([getattr(c, f.name) for c in singles])
+            for f in dataclasses.fields(ReducedCoefficients)})
+        res = solve_closed_form(batch)
+        ones = [solve_closed_form(c) for c in singles]
+        for got, one in ((res.kkt.alpha, [r.kkt.alpha for r in ones]),
+                         (res.rate, [r.rate for r in ones]),
+                         (res.kkt.lam, [r.kkt.lam for r in ones]),
+                         (res.kkt.mu, [r.kkt.mu for r in ones])):
+            assert got.tobytes() == np.array(one, dtype=float).tobytes()
+        alphas = res.kkt.alpha
+        assert np.any(alphas == 0.0) and np.any(alphas == 1.0)
+        assert np.any((alphas > 0.0) & (alphas < 1.0))
+
 
 class TestIterative:
     def test_interior_converges_within_bisection_bound(self):
@@ -150,8 +170,9 @@ class TestIterative:
             assert_kkt(coeffs, solve_iterative(coeffs))
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            solve_iterative(INTERIOR, eps=0.0)
+        for eps in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                solve_iterative(INTERIOR, eps=eps)
         with pytest.raises(ValueError):
             solve_iterative(INTERIOR, max_iter=0)
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hrvlc import associate, link_geometry, load_scenario
 from hrvlc.errors import (
@@ -130,12 +130,16 @@ class TestLinkGeometry:
         assert rotated[1] == pytest.approx(base[1], rel=1e-12)
 
     @given(x=st.floats(-3, 3), y=st.floats(-3, 3), dz=st.floats(0.1, 2.9))
+    @example(x=0.0, y=0.0, dz=0.1143118198284669)
     def test_cosine_in_unit_interval_and_distance_bound(self, x, y, dz):
-        d, cos_phi, cos_psi = link_geometry(make_ap(0, 0, 3),
-                                            make_mt(x, y, 3 - dz))
+        ap, mt = make_ap(0, 0, 3), make_mt(x, y, 3 - dz)
+        d, cos_phi, cos_psi = link_geometry(ap, mt)
         assert 0 < cos_phi <= 1
         assert cos_phi == cos_psi
-        assert d >= dz * (1 - 1e-15)  # 1-ulp slack for sqrt roundoff
+        # the drop the geometry sees, which rounds away from dz; since
+        # sqrt(fl(x*x)) == |x|, the distance bounds it exactly
+        drop = ap.position.z - mt.position.z
+        assert d >= drop
 
 
 class TestAssociate:

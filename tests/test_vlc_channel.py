@@ -3,14 +3,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from hrvlc import (
-    channel_gain,
-    concentrator_gain,
-    downlink_rate,
-    lambertian_order,
-)
+from hrvlc import channel_gain, concentrator_gain, lambertian_order
 
 from conftest import make_ap, make_mt, make_params, make_scenario
+from oracles import downlink_rate
 
 
 class TestLambertianOrder:
