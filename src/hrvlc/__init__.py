@@ -1,8 +1,6 @@
 """Joint uplink-downlink rate optimization for an indoor hybrid RF/VLC link."""
 
 from .harvest_uplink import (
-    HarvestConstants,
-    harvest_constants,
     harvested_energy,
     sample_rician,
 )
@@ -23,6 +21,7 @@ from .optimizer import (
     stationary_alpha,
 )
 from .scenario import (
+    Association,
     MobileTerminal,
     Point3,
     Scenario,

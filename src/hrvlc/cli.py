@@ -9,7 +9,6 @@ from previously written CSVs.
 import argparse
 import csv
 import hashlib
-import json
 import math
 import sys
 import time
@@ -22,7 +21,7 @@ from .errors import (
     HrvlcError,
     MalformedCsvError,
 )
-from .harvest_uplink import harvest_constants, harvested_energy, sample_rician
+from .harvest_uplink import harvested_energy, sample_rician
 from .objective import reduce_coefficients, total_rate
 from .optimizer import grid_oracle, solve_closed_form, solve_iterative
 from .scenario import associate, load_scenario
@@ -31,7 +30,7 @@ from .scenario import associate, load_scenario
 @dataclass(frozen=True)
 class RunReport:
     command: str
-    digest: str      # sha256 of the canonicalized config
+    digest: str      # sha256 of the config file's bytes
     seed: int
     rows: tuple
     wall_time: float
@@ -53,13 +52,9 @@ def _write_csv(out_path, header, rows):
 
 
 def _load(config_path):
-    with open(config_path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    scn = load_scenario(text)
-    canonical = json.dumps(json.loads(text), sort_keys=True,
-                           separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    return scn, digest
+    with open(config_path, "rb") as fh:
+        raw = fh.read()
+    return load_scenario(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
 
 
 def _fading_power(mt, seed, draw_index):
@@ -70,21 +65,21 @@ def _fading_power(mt, seed, draw_index):
 
 
 def _prepare(config_path, mt_index, seed, n_draws=None):
-    """(scenario, digest, serving AP, h_sq, coefficients) of one terminal.
+    """(scenario, digest, association, h_sq, coefficients) of one terminal.
 
     h_sq is fading draw 0, or with n_draws an array of draws 0..n_draws-1.
     """
     scn, digest = _load(config_path)
     if not 0 <= mt_index < len(scn.mts):
         raise ValueError(f"--mt must be in [0, {len(scn.mts)})")
-    serving = associate(scn, mt_index)
+    assoc = associate(scn, mt_index)
     mt = scn.mts[mt_index]
     if n_draws is None:
         h_sq = _fading_power(mt, seed, 0)
     else:
         h_sq = np.array([_fading_power(mt, seed, i) for i in range(n_draws)])
-    coeffs = reduce_coefficients(scn, mt_index, serving, h_sq)
-    return scn, digest, serving, h_sq, coeffs
+    coeffs = reduce_coefficients(scn, mt_index, assoc, h_sq)
+    return scn, digest, assoc, h_sq, coeffs
 
 
 def cmd_sweep(config_path, mt_index, n_points, seed, out_path):
@@ -92,9 +87,9 @@ def cmd_sweep(config_path, mt_index, n_points, seed, out_path):
     start = time.perf_counter()
     if n_points < 2:
         raise ValueError("--points must be >= 2")
-    scn, digest, serving, _, coeffs = _prepare(config_path, mt_index, seed)
+    _, digest, assoc, _, coeffs = _prepare(config_path, mt_index, seed)
     ev = total_rate(coeffs, np.linspace(0.0, 1.0, n_points))
-    e_h = harvested_energy(harvest_constants(scn, mt_index, serving), ev.alpha)
+    e_h = harvested_energy(assoc, ev.alpha)
     rows = list(zip(ev.alpha, ev.total, ev.downlink_term, ev.uplink_term, e_h))
     _write_csv(out_path, ["alpha", "R_total", "R_d_term", "R_u_term", "E_H"],
                rows)

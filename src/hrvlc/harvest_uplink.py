@@ -6,24 +6,11 @@ powers the RF uplink, whose envelope fades with a Rician law.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import link_geometry
 from .vlc_channel import lambertian_order
-
-
-@dataclass(frozen=True)
-class HarvestConstants:
-    """Harvested-energy coefficients: E_H(alpha) = (1 - alpha)*k1 + k2.
-
-    k1 collects the serving-AP contribution, k2 the aggregate interferer
-    contribution, which accrues over the whole slot.
-    """
-
-    k1: float
-    k2: float
 
 
 def _harvest_term(ap, mt):
@@ -32,18 +19,8 @@ def _harvest_term(ap, mt):
     return (ap.power ** 2 / d ** 4) * cos_phi ** (2.0 * m)
 
 
-def harvest_constants(scn, mt_index, serving_index):
-    """Serving and interferer harvesting coefficients for one MT."""
-    mt = scn.mts[mt_index]
-    scale = mt.conv_coeff * scn.params.t_d * mt.oe_efficiency
-    k1 = scale * _harvest_term(scn.aps[serving_index], mt)
-    k2 = scale * sum(_harvest_term(ap, mt)
-                     for k, ap in enumerate(scn.aps) if k != serving_index)
-    return HarvestConstants(k1=k1, k2=k2)
-
-
 def harvested_energy(consts, alpha):
-    """Energy harvested over the downlink slot; alpha may be an array."""
+    """(1 - alpha)*k1 + k2 of an ``Association``; alpha may be an array."""
     _check_alpha(alpha)
     return (1.0 - alpha) * consts.k1 + consts.k2
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harvest_uplink import _check_alpha, harvest_constants
-from .vlc_channel import channel_gain
+from .harvest_uplink import _check_alpha
 
 LN2 = math.log(2.0)
 
@@ -44,21 +43,19 @@ class ObjectiveEval:
     uplink_term: float     # uplink contribution at this alpha [bits/s]
 
 
-def reduce_coefficients(scn, mt_index, serving_index, h_sq):
-    """The eight coefficients; an array of fading powers h_sq batches d, e."""
+def reduce_coefficients(scn, mt_index, assoc, h_sq):
+    """The eight coefficients of ``assoc = associate(scn, mt_index)``.
+
+    An array of fading powers h_sq batches d and e.
+    """
     mt = scn.mts[mt_index]
     params = scn.params
-    serving = scn.aps[serving_index]
-    a = serving.power * channel_gain(serving, mt).value
-    c = sum(ap.power * channel_gain(ap, mt).value
-            for k, ap in enumerate(scn.aps) if k != serving_index)
-    consts = harvest_constants(scn, mt_index, serving_index)
     return ReducedCoefficients(
-        a=a,
+        a=assoc.a,
         b=params.n0 * params.b_v,
-        c=c,
-        d=consts.k1 * h_sq,
-        e=consts.k2 * h_sq,
+        c=assoc.c,
+        d=assoc.k1 * h_sq,
+        e=assoc.k2 * h_sq,
         g=params.t_u * params.n0 * mt.rf_distance ** mt.pathloss_exp,
         b1=params.b_v,
         b2=params.b_r,

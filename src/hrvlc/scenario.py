@@ -67,6 +67,17 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
+class Association:
+    """One MT's serving AP and link sums; E_H(alpha) = (1 - alpha)*k1 + k2."""
+
+    serving: int   # index of the serving AP
+    a: float       # serving-AP received power P_T*G
+    c: float       # power-weighted interference sum
+    k1: float      # serving-AP harvest coefficient
+    k2: float      # interferer harvest coefficient, over the whole slot
+
+
+@dataclass(frozen=True)
 class Scenario:
     room: tuple              # (x, y, z) extents [m]
     aps: tuple               # VlcAp, ...
@@ -197,10 +208,14 @@ def load_scenario(config_text):
             conv_coeff=c_jrf, oe_efficiency=rho_j, pathloss_exp=npl,
             rician_k=rician_k, rician_omega=omega, rf_distance=d_j))
 
+    # every AP above the highest MT; name the first MT a low AP fails
+    top = max(mt.position.z for mt in mts)
     for i, ap in enumerate(aps):
-        for j, mt in enumerate(mts):
-            _require(ap.position.z > mt.position.z, f"aps[{i}].pos[2]",
-                     f"AP must be above MT mts[{j}]")
+        if ap.position.z <= top:
+            j = next(j for j, mt in enumerate(mts)
+                     if mt.position.z >= ap.position.z)
+            raise ConfigValidationError(f"aps[{i}].pos[2]",
+                                        f"AP must be above MT mts[{j}]")
 
     bv_sweep = ()
     if "sweep" in doc:
@@ -247,18 +262,35 @@ def link_geometry(ap, mt):
 
 
 def associate(scn, mt_index):
-    """Index of the serving AP: strongest channel gain, ties to lowest index."""
-    from .vlc_channel import channel_gain  # avoids a module cycle
+    """Serving AP of one MT and its link sums, in one pass over the APs.
+
+    The serving AP has the strongest in-FOV channel gain, ties to the lowest
+    index.  ``c`` sums P_T*G over the other APs, so an AP outside the FOV
+    (G = 0) adds nothing; ``k2`` sums the harvest term over the other APs
+    whether inside the FOV or not.
+    """
+    from .harvest_uplink import _harvest_term
+    from .vlc_channel import channel_gain  # both local: avoid a module cycle
 
     mt = scn.mts[mt_index]
     best_index = None
     best_gain = 0.0
+    powers, terms = [], []
     for i, ap in enumerate(scn.aps):
         gain = channel_gain(ap, mt)
         if gain.in_fov and gain.value > best_gain:
             best_index = i
             best_gain = gain.value
+        powers.append(ap.power * gain.value)
+        terms.append(_harvest_term(ap, mt))
     if best_index is None:
         raise NoCoverageError(
             f"mt {mt_index}: no AP inside the field of view yields nonzero gain")
-    return best_index
+    # the others in AP order; a total less the serving term rounds differently
+    scale = mt.conv_coeff * scn.params.t_d * mt.oe_efficiency
+    return Association(
+        serving=best_index,
+        a=powers[best_index],
+        c=sum(p for k, p in enumerate(powers) if k != best_index),
+        k1=scale * terms[best_index],
+        k2=scale * sum(t for k, t in enumerate(terms) if k != best_index))

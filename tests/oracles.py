@@ -12,7 +12,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i0e
 
-from hrvlc import channel_gain, harvest_constants, harvested_energy
+from hrvlc import (
+    channel_gain,
+    harvested_energy,
+    lambertian_order,
+    link_geometry,
+)
+
+
+@dataclass(frozen=True)
+class HarvestConstants:
+    """E_H(alpha) = (1 - alpha)*k1 + k2, for feeding ``harvested_energy``."""
+
+    k1: float
+    k2: float
 
 
 @dataclass(frozen=True)
@@ -57,6 +70,26 @@ def uplink_snr(consts, alpha, h_sq, mt, params):
 def uplink_rate(snr, params):
     """Uplink rate over the RF bandwidth."""
     return params.b_r * math.log2(1.0 + snr)
+
+
+def harvest_constants(scn, mt_index, serving_index):
+    """k1 and k2 rebuilt link by link from the raw geometry.
+
+    Each AP leaves P_T^2/d^4*cos^(2m) on the harvester; k2 counts every
+    AP but the serving one, inside the MT's FOV or not.
+    """
+    mt = scn.mts[mt_index]
+    scale = mt.conv_coeff * scn.params.t_d * mt.oe_efficiency
+    k1 = k2 = 0.0
+    for k, ap in enumerate(scn.aps):
+        d, cos_phi, _ = link_geometry(ap, mt)
+        term = ap.power ** 2 / d ** 4 * cos_phi ** (
+            2 * lambertian_order(ap.half_angle))
+        if k == serving_index:
+            k1 = scale * term
+        else:
+            k2 += scale * term
+    return HarvestConstants(k1=k1, k2=k2)
 
 
 def uplink_budget(scn, mt_index, serving_index, alpha, h_sq):

@@ -14,7 +14,6 @@ from scipy import integrate, stats
 
 from hrvlc import (
     associate,
-    harvest_constants,
     harvested_energy,
     rate_derivative,
     rate_second_derivative,
@@ -191,18 +190,17 @@ def test_criterion_6_physics_consistency():
         checked = 0
         while checked < 100:
             scn = random_scenario(rng)
-            serving = associate(scn, 0)
+            consts = associate(scn, 0)
             h = sample_rician(scn.mts[0].rician_k, scn.mts[0].rician_omega, rng)
             h_sq = h * h
-            coeffs = reduce_coefficients(scn, 0, serving, h_sq)
-            r_d = downlink_rate(scn, 0, serving).rate
+            coeffs = reduce_coefficients(scn, 0, consts, h_sq)
+            r_d = downlink_rate(scn, 0, consts.serving).rate
             for alpha in np.linspace(0.0, 1.0, 11):
-                r_u = uplink_budget(scn, 0, serving, alpha, h_sq).rate
+                r_u = uplink_budget(scn, 0, consts.serving, alpha, h_sq).rate
                 composed = alpha * r_d + r_u
                 reduced = total_rate(coeffs, alpha).total
                 assert abs(composed - reduced) <= 1e-12 * max(
                     abs(composed), abs(reduced))
-            consts = harvest_constants(scn, 0, serving)
             # affine in alpha: evaluation equals the affine form identically
             for alpha in (0.0, 0.25, 0.5, 1.0):
                 assert harvested_energy(consts, alpha) == \

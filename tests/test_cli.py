@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hrvlc.vlc_channel
 from hrvlc.cli import (
     cmd_chart,
     cmd_converge,
@@ -276,11 +278,70 @@ class TestMainExitCodes:
         assert main(["solve", "--config", TWO_AP, "--mt", "0",
                      "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 2
 
+    def test_ap_below_mt_is_one(self, tmp_path, capsys):
+        doc = json.loads(open(TWO_AP, encoding="utf-8").read())
+        doc["mts"].append(dict(doc["mts"][0], pos=[3.0, 3.0, 2.5]))
+        doc["aps"][1]["pos"][2] = 2.0
+        cfg = tmp_path / "low_ap.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        assert main(["solve", "--config", str(cfg), "--mt", "0",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: aps[1].pos[2]: AP must be above MT mts[1]\n"
+        assert not out.exists()
+
     def test_chart_empty_is_one(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         assert main(["chart", "--csv", str(empty),
                      "--out", str(tmp_path / "x.svg")]) == 1
+
+
+class TestOnePassPerCall:
+    """Each call parses its config once and evaluates each AP link once."""
+
+    @pytest.fixture
+    def three_ap(self, tmp_path):
+        doc = json.loads(open(TWO_AP, encoding="utf-8").read())
+        doc["aps"].append({"pos": [1.25, 3.75, 3.0], "P_T": 3.0,
+                           "half_angle_deg": 60})
+        path = tmp_path / "three_ap.json"
+        path.write_text(json.dumps(doc, indent=1))
+        return str(path)
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg, out: cmd_sweep(cfg, 0, 11, 7, out),
+        lambda cfg, out: cmd_solve(cfg, 0, "closed", 7, out),
+        lambda cfg, out: cmd_solve(cfg, 0, "iter", 7, out),
+        lambda cfg, out: cmd_solve(cfg, 0, "grid", 7, out, n_points=101),
+        lambda cfg, out: cmd_converge(cfg, 0, 1e-9, 7, out),
+        lambda cfg, out: cmd_montecarlo(cfg, 0, 5, 7, out),
+    ], ids=["sweep", "solve-closed", "solve-iter", "solve-grid", "converge",
+            "montecarlo"])
+    def test_counts_and_digest(self, tmp_path, monkeypatch, three_ap, run):
+        calls = {"channel_gain": 0, "loads": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # replace every binding, so a module-level import is counted too
+        gain = hrvlc.vlc_channel.channel_gain
+        for mod in list(sys.modules.values()):
+            if not getattr(mod, "__name__", "").startswith("hrvlc"):
+                continue
+            for key, value in list(vars(mod).items()):
+                if value is gain:
+                    monkeypatch.setattr(mod, key,
+                                        counted("channel_gain", gain))
+        monkeypatch.setattr(json, "loads", counted("loads", json.loads))
+        report = run(three_ap, str(tmp_path / "out.csv"))
+        assert calls == {"channel_gain": 3, "loads": 1}
+        with open(three_ap, "rb") as fh:
+            assert report.digest == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_cli_import_leaves_scipy_out():

@@ -5,8 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from hrvlc import (
-    HarvestConstants,
-    harvest_constants,
+    associate,
     harvested_energy,
     lambertian_order,
     link_geometry,
@@ -14,22 +13,30 @@ from hrvlc import (
 )
 
 from conftest import make_ap, make_mt, make_params, make_scenario
-from oracles import rician_pdf, uplink_budget, uplink_rate, uplink_snr
+from oracles import (
+    HarvestConstants,
+    rician_pdf,
+    uplink_budget,
+    uplink_rate,
+    uplink_snr,
+)
 
 
 class TestHarvestConstants:
+    """k1 and k2 as the single pass in ``associate`` sums them."""
+
     def test_single_ap_has_no_interference_term(self):
-        consts = harvest_constants(make_scenario(), 0, 0)
+        consts = associate(make_scenario(), 0)
         assert consts.k2 == 0.0
         assert consts.k1 > 0.0
 
     def test_quadratic_power_law(self):
-        base = harvest_constants(make_scenario(
+        base = associate(make_scenario(
             aps=[make_ap(1, 2, 3, power=2.0), make_ap(3, 2, 3, power=2.0)],
-            mts=[make_mt(1.5, 2, 1)]), 0, 0)
-        doubled = harvest_constants(make_scenario(
+            mts=[make_mt(1.5, 2, 1)]), 0)
+        doubled = associate(make_scenario(
             aps=[make_ap(1, 2, 3, power=4.0), make_ap(3, 2, 3, power=4.0)],
-            mts=[make_mt(1.5, 2, 1)]), 0, 0)
+            mts=[make_mt(1.5, 2, 1)]), 0)
         assert doubled.k1 == pytest.approx(4 * base.k1, rel=1e-12)
         assert doubled.k2 == pytest.approx(4 * base.k2, rel=1e-12)
 
@@ -38,7 +45,8 @@ class TestHarvestConstants:
         mt = make_mt(1.5, 2, 1)
         params = make_params()
         scn = make_scenario(aps=aps, mts=[mt], params=params)
-        consts = harvest_constants(scn, 0, 0)
+        consts = associate(scn, 0)
+        assert consts.serving == 0
 
         # oracle: recompute both coefficients term by term from raw geometry
         def term(ap):
@@ -151,7 +159,7 @@ class TestUplinkSnrAndRate:
     def test_budget_composition(self):
         scn = make_scenario()
         res = uplink_budget(scn, 0, 0, 0.4, 1.2)
-        consts = harvest_constants(scn, 0, 0)
-        assert res.e_h == pytest.approx(harvested_energy(consts, 0.4))
+        assert res.e_h == pytest.approx(
+            harvested_energy(associate(scn, 0), 0.4))
         assert res.p_h == pytest.approx(res.e_h / scn.params.t_u)
         assert res.rate == pytest.approx(uplink_rate(res.snr, scn.params))

@@ -27,13 +27,15 @@ def rel_err(x, y):
 
 class TestReduceCoefficients:
     def test_single_ap_no_interference(self):
-        coeffs = reduce_coefficients(make_scenario(), 0, 0, 1.0)
+        scn = make_scenario()
+        coeffs = reduce_coefficients(scn, 0, associate(scn, 0), 1.0)
         assert coeffs.c == 0.0
         assert coeffs.e == 0.0
         assert coeffs.a > 0 and coeffs.d > 0
 
     def test_zero_fade_kills_harvest_terms(self):
-        coeffs = reduce_coefficients(make_scenario(), 0, 0, 0.0)
+        scn = make_scenario()
+        coeffs = reduce_coefficients(scn, 0, associate(scn, 0), 0.0)
         assert coeffs.d == 0.0
         assert coeffs.e == 0.0
 
@@ -42,8 +44,8 @@ class TestReduceCoefficients:
         mt = make_mt(1.5, 2, 1)
         scn = make_scenario(aps=aps, mts=[mt])
         h_sq = 1.7
-        serving = associate(scn, 0)
-        coeffs = reduce_coefficients(scn, 0, serving, h_sq)
+        assoc = associate(scn, 0)
+        coeffs = reduce_coefficients(scn, 0, assoc, h_sq)
 
         # oracle: recompose every coefficient from raw primitives
         p = scn.params
@@ -56,7 +58,7 @@ class TestReduceCoefficients:
                 2 * lambertian_order(ap.half_angle))
 
         scale = mt.conv_coeff * p.t_d * mt.oe_efficiency
-        assert serving == 0
+        assert assoc.serving == 0
         assert rel_err(coeffs.a, aps[0].power * g0) <= 1e-12
         assert coeffs.b == pytest.approx(p.n0 * p.b_v, rel=1e-12)
         assert rel_err(coeffs.c, aps[1].power * g1) <= 1e-12
@@ -93,11 +95,11 @@ class TestTotalRate:
         scn = make_scenario(aps=[make_ap(1, 2, 3), make_ap(3, 2, 3)],
                             mts=[make_mt(1.5, 2, 1)])
         h_sq = 0.8
-        serving = associate(scn, 0)
-        coeffs = reduce_coefficients(scn, 0, serving, h_sq)
-        r_d = downlink_rate(scn, 0, serving).rate
+        assoc = associate(scn, 0)
+        coeffs = reduce_coefficients(scn, 0, assoc, h_sq)
+        r_d = downlink_rate(scn, 0, assoc.serving).rate
         for alpha in np.linspace(0, 1, 7):
-            r_u = uplink_budget(scn, 0, serving, alpha, h_sq).rate
+            r_u = uplink_budget(scn, 0, assoc.serving, alpha, h_sq).rate
             ev = total_rate(coeffs, alpha)
             assert rel_err(ev.total, alpha * r_d + r_u) <= 1e-12
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hrvlc import associate, link_geometry, load_scenario
+from hrvlc import associate, lambertian_order, link_geometry, load_scenario
 from hrvlc.errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -77,6 +77,16 @@ class TestLoadScenario:
         with pytest.raises(ConfigValidationError):
             load_scenario(json.dumps(doc))
 
+    def test_ap_height_names_first_failing_pair(self):
+        # only (aps[1], mts[1]) breaks the rule: aps[1] sits below mts[1]
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["aps"].append(dict(doc["aps"][0], pos=[1.0, 1.0, 2.0]))
+        doc["mts"].append(dict(doc["mts"][0], pos=[3.0, 3.0, 2.5]))
+        with pytest.raises(ConfigValidationError) as exc:
+            load_scenario(json.dumps(doc))
+        assert exc.value.field == "aps[1].pos[2]"
+        assert "mts[1]" in str(exc.value)
+
     def test_missing_section_rejected(self):
         doc = json.loads(json.dumps(MINIMAL))
         del doc["params"]
@@ -145,13 +155,13 @@ class TestLinkGeometry:
 class TestAssociate:
     def test_single_covering_ap(self):
         scn = make_scenario()
-        assert associate(scn, 0) == 0
+        assert associate(scn, 0).serving == 0
 
     def test_equidistant_tie_breaks_to_lowest_index(self):
         scn = make_scenario(
             aps=[make_ap(1, 2, 3), make_ap(3, 2, 3)],
             mts=[make_mt(2, 2, 1)])
-        assert associate(scn, 0) == 0
+        assert associate(scn, 0).serving == 0
 
     def test_no_coverage_raises(self):
         scn = make_scenario(
@@ -166,6 +176,24 @@ class TestAssociate:
         scn = make_scenario(
             aps=[make_ap(0.5, 0.5, 3), make_ap(2, 2, 3), make_ap(4, 4, 3)],
             mts=[make_mt(2.2, 1.9, 1)])
-        chosen = associate(scn, 0)
+        chosen = associate(scn, 0).serving
         gains = [channel_gain(ap, scn.mts[0]).value for ap in scn.aps]
         assert gains[chosen] == max(gains)
+
+    def test_out_of_fov_ap_harvests_but_never_serves(self):
+        # the choice in ``associate``'s docstring: an AP outside the FOV
+        # adds nothing to c but its harvest term still counts in k2
+        far = make_ap(0, 0, 3, power=30.0)   # ~73 deg off axis, fov 30 deg
+        near = make_ap(4.5, 4.5, 3)
+        mt = make_mt(4.5, 4.5, 1, fov=math.radians(30))
+        scn = make_scenario(aps=[far, near], mts=[mt])
+        assoc = associate(scn, 0)
+        d, cos_phi, _ = link_geometry(far, mt)
+        term = far.power ** 2 / d ** 4 * cos_phi ** (
+            2 * lambertian_order(far.half_angle))
+        assert cos_phi < math.cos(mt.fov)
+        assert assoc.serving == 1
+        assert assoc.c == 0.0
+        assert assoc.k2 > 0.0
+        scale = mt.conv_coeff * scn.params.t_d * mt.oe_efficiency
+        assert assoc.k2 == pytest.approx(scale * term, rel=1e-12)
