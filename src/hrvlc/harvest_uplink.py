@@ -9,14 +9,10 @@ import math
 
 import numpy as np
 
-from .scenario import link_geometry
-from .vlc_channel import lambertian_order
 
-
-def _harvest_term(ap, mt):
-    d, cos_phi, _ = link_geometry(ap, mt)
-    m = lambertian_order(ap.half_angle)
-    return (ap.power ** 2 / d ** 4) * cos_phi ** (2.0 * m)
+def _harvest_term(power, d, cos_phi, m):
+    """P_T^2/d^4 * cos^(2m) of one AP link of Lambertian order m."""
+    return (power ** 2 / d ** 4) * cos_phi ** (2.0 * m)
 
 
 def harvested_energy(consts, alpha):

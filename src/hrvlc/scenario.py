@@ -15,6 +15,7 @@ from .errors import (
     GeometryError,
     NoCoverageError,
 )
+from .harvest_uplink import _harvest_term
 
 
 @dataclass(frozen=True)
@@ -86,127 +87,143 @@ class Scenario:
     bv_sweep: tuple = ()     # optional VLC bandwidths for convergence studies
 
 
-_ROOM_KEYS = {"x", "y", "z"}
-_PARAM_KEYS = {"B_v", "B_r", "N0", "T_d", "T_u"}
-_AP_KEYS = {"pos", "P_T", "half_angle_deg"}
-_MT_KEYS = {
-    "pos", "A", "rho", "T_s", "n_c", "fov_deg", "C_jRF", "rho_j",
-    "pathloss_exp", "rician_K", "rician_omega", "rf_distance",
-}
-_TOP_KEYS = {"room", "params", "aps", "mts", "sweep"}
+def _table(*rows):
+    """``{key: (field, lo, hi, message, degrees)}`` of (key, field, range) rows.
+
+    A range is written as its error message writes it: "> 0", ">= 1" or an
+    interval such as "(0, 90]"; None admits any finite value.  An open bound
+    is stored as the nearest float inside it, so ``lo <= value <= hi``
+    checks either kind.  Keys ending in ``_deg`` carry degrees and load as
+    radians.
+    """
+    table = {}
+    for key, field, valid in rows:
+        lo, hi, message = -math.inf, math.inf, None
+        if valid is not None and valid[0] == ">":
+            op, bound = valid.split()
+            lo = float(bound)
+            if op == ">":
+                lo = math.nextafter(lo, math.inf)
+            message = f"must be {valid}"
+        elif valid is not None:
+            lo, hi = (float(b) for b in valid[1:-1].split(","))
+            if valid[0] == "(":
+                lo = math.nextafter(lo, math.inf)
+            if valid[-1] == ")":
+                hi = math.nextafter(hi, -math.inf)
+            message = f"must be in {valid}"
+        table[key] = (field, lo, hi, message, key.endswith("_deg"))
+    return table
 
 
-def _require(cond, field, message):
-    if not cond:
-        raise ConfigValidationError(field, message)
+# One table per section, checked in row order.  An AP or MT checks its
+# ``pos`` first: three finite coordinates inside the room (see _position).
+_ROOM = _table(*((k, k, "> 0") for k in ("x", "y", "z")))
+_PARAMS = _table(*((k, k.lower(), "> 0")
+                   for k in ("B_v", "B_r", "N0", "T_d", "T_u")))
+_AP = {"pos": None} | _table(
+    ("P_T", "power", ">= 0"),
+    ("half_angle_deg", "half_angle", "(0, 90)"),
+)
+_MT = {"pos": None} | _table(
+    ("A", "area", "> 0"),
+    ("rho", "responsivity", "> 0"),
+    ("T_s", "filter_gain", "> 0"),
+    ("n_c", "refractive_index", ">= 1"),
+    ("fov_deg", "fov", "(0, 90]"),
+    ("C_jRF", "conv_coeff", "(0, 1]"),
+    ("rho_j", "oe_efficiency", "(0, 1]"),
+    ("pathloss_exp", "pathloss_exp", None),
+    ("rician_K", "rician_k", ">= 0"),
+    ("rician_omega", "rician_omega", "> 0"),
+    ("rf_distance", "rf_distance", "> 0"),
+)
 
 
-def _number(obj, key, path):
-    _require(key in obj, f"{path}.{key}", "missing")
-    v = obj[key]
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-             f"{path}.{key}", "must be a number")
-    _require(math.isfinite(v), f"{path}.{key}", "must be finite")
-    return float(v)
+def _invalid(section, index, suffix, message):
+    # the dotted path is built here, once a check has failed
+    path = section if index is None else f"{section}[{index}]"
+    return ConfigValidationError(path + suffix, message)
 
 
-def _no_unknown(obj, allowed, path):
-    unknown = set(obj) - allowed
-    _require(not unknown, path, f"unknown keys {sorted(unknown)}")
+def _keys(obj, allowed, section, index=None, kind="an object"):
+    if not isinstance(obj, dict):
+        raise _invalid(section, index, "", f"must be {kind}")
+    unknown = obj.keys() - allowed
+    if unknown:
+        raise _invalid(section, index, "", f"unknown keys {sorted(unknown)}")
 
 
-def _position(obj, path):
-    _require("pos" in obj, f"{path}.pos", "missing")
-    pos = obj["pos"]
-    _require(isinstance(pos, list) and len(pos) == 3,
-             f"{path}.pos", "must be a list of 3 numbers")
-    for i, v in enumerate(pos):
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-                 and math.isfinite(v), f"{path}.pos[{i}]", "must be a finite number")
-    _require(pos[2] >= 0, f"{path}.pos[2]", "z must be >= 0")
-    return Point3(float(pos[0]), float(pos[1]), float(pos[2]))
+def _fields(obj, table, section, index=None, room=None):
+    """Dataclass keyword arguments of one config object, checked row by row."""
+    _keys(obj, table.keys(), section, index)
+    kwargs = {}
+    for key, rule in table.items():
+        if key not in obj:
+            raise _invalid(section, index, f".{key}", "missing")
+        if rule is None:
+            kwargs["position"] = _position(obj[key], room, section, index)
+            continue
+        field, lo, hi, message, degrees = rule
+        value = obj[key]
+        if type(value) is not float:  # any JSON number parses as a float
+            raise _invalid(section, index, f".{key}", "must be a number")
+        if not math.isfinite(value):
+            raise _invalid(section, index, f".{key}", "must be finite")
+        if not lo <= value <= hi:
+            raise _invalid(section, index, f".{key}", message)
+        kwargs[field] = math.radians(value) if degrees else value
+    return kwargs
+
+
+def _position(pos, room, section, index):
+    """Point3 of a ``pos``: three finite coordinates inside the room."""
+    if not (isinstance(pos, list) and len(pos) == 3):
+        raise _invalid(section, index, ".pos", "must be a list of 3 numbers")
+    for k, v in enumerate(pos):
+        if type(v) is not float or not math.isfinite(v):
+            raise _invalid(section, index, f".pos[{k}]",
+                           "must be a finite number")
+    x, y, z = pos
+    if z < 0:
+        raise _invalid(section, index, ".pos[2]", "z must be >= 0")
+    if not (0 <= x <= room[0] and 0 <= y <= room[1] and z <= room[2]):
+        raise _invalid(section, index, ".pos", "position outside room bounds")
+    return Point3(x, y, z)
+
+
+def _entries(entries, table, section, room):
+    if not (isinstance(entries, list) and entries):
+        raise ConfigValidationError(section, "must be a non-empty list")
+    return [_fields(entry, table, section, i, room)
+            for i, entry in enumerate(entries)]
 
 
 def load_scenario(config_text):
     """Parse and validate a JSON scenario document.
 
     Raises ConfigParseError on malformed JSON and ConfigValidationError
-    (with the dotted field path) on any invariant violation.
+    (with the dotted field path) on the first invariant violation: sections
+    in the order room, params, aps, mts, sweep, each entry's fields in the
+    order of its table above.
     """
     try:
-        doc = json.loads(config_text)
+        # an integer is read as the float nearest it, so one too large for a
+        # float is inf, as 1e400 is; int() would refuse 4301 digits or more
+        doc = json.loads(config_text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"invalid JSON: {exc}") from exc
-    _require(isinstance(doc, dict), "<root>", "must be a JSON object")
-    _no_unknown(doc, _TOP_KEYS, "<root>")
+    _keys(doc, {"room", "params", "aps", "mts", "sweep"}, "<root>",
+          kind="a JSON object")
     for key in ("room", "params", "aps", "mts"):
-        _require(key in doc, key, "missing")
+        if key not in doc:
+            raise ConfigValidationError(key, "missing")
 
-    _require(isinstance(doc["room"], dict), "room", "must be an object")
-    _no_unknown(doc["room"], _ROOM_KEYS, "room")
-    room = tuple(_number(doc["room"], k, "room") for k in ("x", "y", "z"))
-    for k, v in zip(("x", "y", "z"), room):
-        _require(v > 0, f"room.{k}", "must be > 0")
-
-    _require(isinstance(doc["params"], dict), "params", "must be an object")
-    _no_unknown(doc["params"], _PARAM_KEYS, "params")
-    raw = {k: _number(doc["params"], k, "params") for k in _PARAM_KEYS}
-    for k, v in raw.items():
-        _require(v > 0, f"params.{k}", "must be > 0")
-    params = SystemParams(b_v=raw["B_v"], b_r=raw["B_r"], n0=raw["N0"],
-                          t_d=raw["T_d"], t_u=raw["T_u"])
-
-    _require(isinstance(doc["aps"], list) and doc["aps"], "aps",
-             "must be a non-empty list")
-    aps = []
-    for i, entry in enumerate(doc["aps"]):
-        path = f"aps[{i}]"
-        _require(isinstance(entry, dict), path, "must be an object")
-        _no_unknown(entry, _AP_KEYS, path)
-        pos = _position(entry, path)
-        power = _number(entry, "P_T", path)
-        _require(power >= 0, f"{path}.P_T", "must be >= 0")
-        half_deg = _number(entry, "half_angle_deg", path)
-        _require(0 < half_deg < 90, f"{path}.half_angle_deg",
-                 "must be in (0, 90)")
-        _check_inside(pos, room, path)
-        aps.append(VlcAp(pos, power, math.radians(half_deg)))
-
-    _require(isinstance(doc["mts"], list) and doc["mts"], "mts",
-             "must be a non-empty list")
-    mts = []
-    for j, entry in enumerate(doc["mts"]):
-        path = f"mts[{j}]"
-        _require(isinstance(entry, dict), path, "must be an object")
-        _no_unknown(entry, _MT_KEYS, path)
-        pos = _position(entry, path)
-        _check_inside(pos, room, path)
-        area = _number(entry, "A", path)
-        _require(area > 0, f"{path}.A", "must be > 0")
-        rho = _number(entry, "rho", path)
-        _require(rho > 0, f"{path}.rho", "must be > 0")
-        t_s = _number(entry, "T_s", path)
-        _require(t_s > 0, f"{path}.T_s", "must be > 0")
-        n_c = _number(entry, "n_c", path)
-        _require(n_c >= 1, f"{path}.n_c", "must be >= 1")
-        fov_deg = _number(entry, "fov_deg", path)
-        _require(0 < fov_deg <= 90, f"{path}.fov_deg", "must be in (0, 90]")
-        c_jrf = _number(entry, "C_jRF", path)
-        _require(0 < c_jrf <= 1, f"{path}.C_jRF", "must be in (0, 1]")
-        rho_j = _number(entry, "rho_j", path)
-        _require(0 < rho_j <= 1, f"{path}.rho_j", "must be in (0, 1]")
-        npl = _number(entry, "pathloss_exp", path)
-        rician_k = _number(entry, "rician_K", path)
-        _require(rician_k >= 0, f"{path}.rician_K", "must be >= 0")
-        omega = _number(entry, "rician_omega", path)
-        _require(omega > 0, f"{path}.rician_omega", "must be > 0")
-        d_j = _number(entry, "rf_distance", path)
-        _require(d_j > 0, f"{path}.rf_distance", "must be > 0")
-        mts.append(MobileTerminal(
-            position=pos, area=area, responsivity=rho, filter_gain=t_s,
-            refractive_index=n_c, fov=math.radians(fov_deg),
-            conv_coeff=c_jrf, oe_efficiency=rho_j, pathloss_exp=npl,
-            rician_k=rician_k, rician_omega=omega, rf_distance=d_j))
+    room = tuple(_fields(doc["room"], _ROOM, "room").values())
+    params = SystemParams(**_fields(doc["params"], _PARAMS, "params"))
+    aps = tuple(VlcAp(**kw) for kw in _entries(doc["aps"], _AP, "aps", room))
+    mts = tuple(MobileTerminal(**kw)
+                for kw in _entries(doc["mts"], _MT, "mts", room))
 
     # every AP above the highest MT; name the first MT a low AP fails
     top = max(mt.position.z for mt in mts)
@@ -217,29 +234,22 @@ def load_scenario(config_text):
             raise ConfigValidationError(f"aps[{i}].pos[2]",
                                         f"AP must be above MT mts[{j}]")
 
+    sweep = doc.get("sweep", {})
+    _keys(sweep, {"B_v"}, "sweep")
     bv_sweep = ()
-    if "sweep" in doc:
-        sweep = doc["sweep"]
-        _require(isinstance(sweep, dict), "sweep", "must be an object")
-        _no_unknown(sweep, {"B_v"}, "sweep")
-        if "B_v" in sweep:
-            values = sweep["B_v"]
-            _require(isinstance(values, list) and values, "sweep.B_v",
-                     "must be a non-empty list")
-            for i, v in enumerate(values):
-                _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-                         and math.isfinite(v) and v > 0,
-                         f"sweep.B_v[{i}]", "must be a positive number")
-            bv_sweep = tuple(float(v) for v in values)
+    if "B_v" in sweep:
+        values = sweep["B_v"]
+        if not (isinstance(values, list) and values):
+            raise ConfigValidationError("sweep.B_v",
+                                        "must be a non-empty list")
+        for i, v in enumerate(values):
+            if type(v) is not float or not 0 < v < math.inf:
+                raise ConfigValidationError(f"sweep.B_v[{i}]",
+                                            "must be a positive number")
+        bv_sweep = tuple(values)
 
-    return Scenario(room=room, aps=tuple(aps), mts=tuple(mts), params=params,
+    return Scenario(room=room, aps=aps, mts=mts, params=params,
                     bv_sweep=bv_sweep)
-
-
-def _check_inside(pos, room, path):
-    inside = (0 <= pos.x <= room[0] and 0 <= pos.y <= room[1]
-              and 0 <= pos.z <= room[2])
-    _require(inside, f"{path}.pos", "position outside room bounds")
 
 
 def link_geometry(ap, mt):
@@ -269,20 +279,25 @@ def associate(scn, mt_index):
     (G = 0) adds nothing; ``k2`` sums the harvest term over the other APs
     whether inside the FOV or not.
     """
-    from .harvest_uplink import _harvest_term
-    from .vlc_channel import channel_gain  # both local: avoid a module cycle
+    # local: vlc_channel imports this module
+    from .vlc_channel import _los_gain, concentrator_gain, lambertian_order
 
     mt = scn.mts[mt_index]
+    cos_fov = math.cos(mt.fov)
+    g = concentrator_gain(mt.refractive_index, mt.fov)
     best_index = None
     best_gain = 0.0
     powers, terms = [], []
     for i, ap in enumerate(scn.aps):
-        gain = channel_gain(ap, mt)
-        if gain.in_fov and gain.value > best_gain:
+        d, cos_angle, _ = link_geometry(ap, mt)
+        m = lambertian_order(ap.half_angle)
+        gain = (_los_gain(mt, g, m, d, cos_angle) if cos_angle >= cos_fov
+                else 0.0)
+        if gain > best_gain:
             best_index = i
-            best_gain = gain.value
-        powers.append(ap.power * gain.value)
-        terms.append(_harvest_term(ap, mt))
+            best_gain = gain
+        powers.append(ap.power * gain)
+        terms.append(_harvest_term(ap.power, d, cos_angle, m))
     if best_index is None:
         raise NoCoverageError(
             f"mt {mt_index}: no AP inside the field of view yields nonzero gain")

@@ -30,12 +30,15 @@ def concentrator_gain(n_c, fov):
 
 def channel_gain(ap, mt):
     """LOS Lambertian gain of an AP-to-MT link; zero outside the FOV."""
-    d, cos_phi, cos_psi = link_geometry(ap, mt)
-    if cos_psi < math.cos(mt.fov):
+    d, cos_angle, _ = link_geometry(ap, mt)
+    if cos_angle < math.cos(mt.fov):
         return ChannelGain(0.0, False)
-    m = lambertian_order(ap.half_angle)
     g = concentrator_gain(mt.refractive_index, mt.fov)
-    value = ((m + 1.0) * mt.area * mt.responsivity * cos_phi ** m * cos_psi
-             * mt.filter_gain * g) / (2.0 * math.pi * d * d)
-    return ChannelGain(value, True)
+    return ChannelGain(
+        _los_gain(mt, g, lambertian_order(ap.half_angle), d, cos_angle), True)
 
+
+def _los_gain(mt, g, m, d, cos_angle):
+    """Gain of an in-FOV link of order m; g is the concentrator gain."""
+    return ((m + 1.0) * mt.area * mt.responsivity * cos_angle ** m * cos_angle
+            * mt.filter_gain * g) / (2.0 * math.pi * d * d)

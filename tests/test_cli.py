@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hrvlc.scenario
 import hrvlc.vlc_channel
 from hrvlc.cli import (
     cmd_chart,
@@ -291,6 +292,17 @@ class TestMainExitCodes:
             "error: aps[1].pos[2]: AP must be above MT mts[1]\n"
         assert not out.exists()
 
+    def test_huge_integer_is_one(self, tmp_path, capsys):
+        doc = json.loads(open(TWO_AP, encoding="utf-8").read())
+        doc["aps"][1]["P_T"] = 10 ** 400
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        assert main(["solve", "--config", str(cfg), "--mt", "0",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: aps[1].P_T: must be finite\n"
+        assert not out.exists()
+
     def test_chart_empty_is_one(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -320,7 +332,7 @@ class TestOnePassPerCall:
     ], ids=["sweep", "solve-closed", "solve-iter", "solve-grid", "converge",
             "montecarlo"])
     def test_counts_and_digest(self, tmp_path, monkeypatch, three_ap, run):
-        calls = {"channel_gain": 0, "loads": 0}
+        calls = {"link_geometry": 0, "lambertian_order": 0, "loads": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -329,28 +341,46 @@ class TestOnePassPerCall:
             return wrapper
 
         # replace every binding, so a module-level import is counted too
-        gain = hrvlc.vlc_channel.channel_gain
-        for mod in list(sys.modules.values()):
-            if not getattr(mod, "__name__", "").startswith("hrvlc"):
-                continue
-            for key, value in list(vars(mod).items()):
-                if value is gain:
-                    monkeypatch.setattr(mod, key,
-                                        counted("channel_gain", gain))
+        for fn in (hrvlc.scenario.link_geometry,
+                   hrvlc.vlc_channel.lambertian_order):
+            for mod in list(sys.modules.values()):
+                if not getattr(mod, "__name__", "").startswith("hrvlc"):
+                    continue
+                for key, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, key,
+                                            counted(fn.__name__, fn))
         monkeypatch.setattr(json, "loads", counted("loads", json.loads))
         report = run(three_ap, str(tmp_path / "out.csv"))
-        assert calls == {"channel_gain": 3, "loads": 1}
+        assert calls == {"link_geometry": 3, "lambertian_order": 3, "loads": 1}
         with open(three_ap, "rb") as fh:
             assert report.digest == hashlib.sha256(fh.read()).hexdigest()
 
 
-def test_cli_import_leaves_scipy_out():
-    import hrvlc
-
+def _subprocess_env(**extra):
     src = str(Path(hrvlc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_cli_import_leaves_scipy_out():
     code = ("import sys, hrvlc.cli; "
             "sys.exit(any(m.partition('.')[0] == 'scipy' for m in sys.modules))")
-    assert subprocess.run([sys.executable, "-c", code], env=env,
+    assert subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
                           timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_first_error_does_not_depend_on_hash_seed(tmp_path, hash_seed):
+    # with every params key missing, the first in table order is named
+    doc = json.loads(open(TWO_AP, encoding="utf-8").read())
+    doc["params"] = {}
+    cfg = tmp_path / "no_params.json"
+    cfg.write_text(json.dumps(doc))
+    done = subprocess.run(
+        [sys.executable, "-m", "hrvlc.cli", "solve", "--config", str(cfg),
+         "--mt", "0", "--out", str(tmp_path / "x.csv")],
+        env=_subprocess_env(PYTHONHASHSEED=hash_seed), capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == "error: params.B_v: missing\n"

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -180,6 +181,20 @@ class TestAssociate:
         gains = [channel_gain(ap, scn.mts[0]).value for ap in scn.aps]
         assert gains[chosen] == max(gains)
 
+    def test_link_sums_match_channel_gain_bitwise(self):
+        from hrvlc import channel_gain
+
+        scn = make_scenario(
+            aps=[make_ap(0.5, 0.5, 3), make_ap(2, 2, 3), make_ap(4.8, 4.8, 3)],
+            mts=[make_mt(2.2, 1.9, 1, fov=math.radians(55))])
+        mt = scn.mts[0]
+        powers = [ap.power * channel_gain(ap, mt).value for ap in scn.aps]
+        assoc = associate(scn, 0)
+        assert assoc.serving == 1
+        assert powers[0] > 0.0 and powers[2] == 0.0  # aps[2] outside the FOV
+        assert assoc.a == powers[1]
+        assert assoc.c == powers[0] + powers[2]
+
     def test_out_of_fov_ap_harvests_but_never_serves(self):
         # the choice in ``associate``'s docstring: an AP outside the FOV
         # adds nothing to c but its harvest term still counts in k2
@@ -197,3 +212,197 @@ class TestAssociate:
         assert assoc.k2 > 0.0
         scale = mt.conv_coeff * scn.params.t_d * mt.oe_efficiency
         assert assoc.k2 == pytest.approx(scale * term, rel=1e-12)
+
+
+# Every single-fault config, with the field and message it must report.  Two
+# APs, two MTs and two sweep bandwidths, so the fault sits at index 1.
+TWO_OF_EACH = dict(
+    MINIMAL,
+    aps=MINIMAL["aps"] + [dict(MINIMAL["aps"][0], pos=[1.0, 1.0, 3.0])],
+    mts=MINIMAL["mts"] + [dict(MINIMAL["mts"][0], pos=[3.0, 3.0, 1.0])],
+    sweep={"B_v": [5e6, 1e7]},
+)
+DELETE = object()
+HUGE = 10 ** 400        # an integer literal no float can hold
+TINY = 5e-324           # the least positive float
+BELOW_1 = math.nextafter(1.0, 0.0)
+ABOVE_1 = math.nextafter(1.0, 2.0)
+BELOW_90 = math.nextafter(90.0, 0.0)
+ABOVE_90 = math.nextafter(90.0, 100.0)
+ABOVE_4 = math.nextafter(4.0, 5.0)     # just past the 4 m room side
+
+# (section, key, loaded attribute, range message, just outside, just inside);
+# a room side just inside its bound would leave the entries outside the room
+FIELDS = [
+    ("room", "x", None, "must be > 0", [0, -TINY], []),
+    ("room", "y", None, "must be > 0", [0, -TINY], []),
+    ("room", "z", None, "must be > 0", [0, -TINY], []),
+    ("params", "B_v", "b_v", "must be > 0", [0, -TINY], [TINY]),
+    ("params", "B_r", "b_r", "must be > 0", [0, -TINY], [TINY]),
+    ("params", "N0", "n0", "must be > 0", [0, -TINY], [TINY]),
+    ("params", "T_d", "t_d", "must be > 0", [0, -TINY], [TINY]),
+    ("params", "T_u", "t_u", "must be > 0", [0, -TINY], [TINY]),
+    ("aps", "P_T", "power", "must be >= 0", [-TINY], [0, TINY]),
+    ("aps", "half_angle_deg", "half_angle", "must be in (0, 90)",
+     [0, 90], [TINY, BELOW_90]),
+    ("mts", "A", "area", "must be > 0", [0, -TINY], [TINY]),
+    ("mts", "rho", "responsivity", "must be > 0", [0, -TINY], [TINY]),
+    ("mts", "T_s", "filter_gain", "must be > 0", [0, -TINY], [TINY]),
+    ("mts", "n_c", "refractive_index", "must be >= 1", [BELOW_1], [1]),
+    ("mts", "fov_deg", "fov", "must be in (0, 90]",
+     [0, ABOVE_90], [TINY, 90]),
+    ("mts", "C_jRF", "conv_coeff", "must be in (0, 1]",
+     [0, ABOVE_1], [TINY, 1]),
+    ("mts", "rho_j", "oe_efficiency", "must be in (0, 1]",
+     [0, ABOVE_1], [TINY, 1]),
+    ("mts", "pathloss_exp", "pathloss_exp", None, [], [-1e300, 0, 1e300]),
+    ("mts", "rician_K", "rician_k", "must be >= 0", [-TINY], [0]),
+    ("mts", "rician_omega", "rician_omega", "must be > 0", [0, -TINY],
+     [TINY]),
+    ("mts", "rf_distance", "rf_distance", "must be > 0", [0, -TINY], [TINY]),
+]
+
+
+def _where(section, key):
+    return (section, 1, key) if section in ("aps", "mts") else (section, key)
+
+
+def _dotted(where):
+    text = ""
+    for part in where:
+        text += f"[{part}]" if isinstance(part, int) else f".{part}"
+    return text.lstrip(".")
+
+
+def _fault_cases():
+    cases = []
+
+    def case(where, value, field, message, name):
+        cases.append(pytest.param(where, value, field, message, id=name))
+
+    for section, key, _, bound_message, outside, _ in FIELDS:
+        where = _where(section, key)
+        field = _dotted(where)
+        for name, value, message in [
+                ("missing", DELETE, "missing"),
+                ("bool", True, "must be a number"),
+                ("string", "1", "must be a number"),
+                ("null", None, "must be a number"),
+                ("nan", math.nan, "must be finite"),
+                ("inf", math.inf, "must be finite"),
+                ("-inf", -math.inf, "must be finite"),
+                ("huge", HUGE, "must be finite"),
+                ("-huge", -HUGE, "must be finite")]:
+            case(where, value, field, message, f"{field}-{name}")
+        for value in outside:
+            case(where, value, field, bound_message, f"{field}={value!r}")
+
+    for section in ("aps", "mts"):
+        where = (section, 1, "pos")
+        field = f"{section}[1].pos"
+        for name, value in [("missing", DELETE), ("string", "1,1,1"),
+                            ("object", {}), ("short", [1.0, 1.0]),
+                            ("long", [1.0, 1.0, 1.0, 1.0])]:
+            case(where, value, field, "missing" if value is DELETE
+                 else "must be a list of 3 numbers", f"{field}-{name}")
+        for name, value, k in [("bool", [True, 1.0, 1.0], 0),
+                               ("string", [1.0, "1", 1.0], 1),
+                               ("null", [1.0, 1.0, None], 2),
+                               ("nan", [math.nan, 1.0, 1.0], 0),
+                               ("inf", [1.0, math.inf, 1.0], 1),
+                               ("huge", [1.0, 1.0, HUGE], 2),
+                               ("-huge", [-HUGE, 1.0, 1.0], 0)]:
+            case(where, value, f"{field}[{k}]", "must be a finite number",
+                 f"{field}-{name}")
+        case(where, [1.0, 1.0, -TINY], f"{field}[2]", "z must be >= 0",
+             f"{field}-below-floor")
+        for value in ([-TINY, 1.0, 1.0], [1.0, -TINY, 1.0],
+                      [ABOVE_4, 1.0, 1.0], [1.0, ABOVE_4, 1.0],
+                      [1.0, 1.0, math.nextafter(3.0, 4.0)]):
+            case(where, value, field, "position outside room bounds",
+                 f"{field}={value!r}")
+
+    for where, field in [((), "<root>"), (("room",), "room"),
+                         (("params",), "params"), (("aps", 1), "aps[1]"),
+                         (("mts", 1), "mts[1]"), (("sweep",), "sweep")]:
+        case(where + ("zz",), 1, field, "unknown keys ['zz']",
+             f"{field}-unknown")
+    case(("mts", 1, "a_extra"), 1, "mts[1]", "unknown keys ['a_extra']",
+         "mts[1]-unknown-sorted")
+
+    for section in ("room", "params", "aps", "mts"):
+        case((section,), DELETE, section, "missing", f"{section}-missing")
+    for section in ("room", "params"):
+        case((section,), [], section, "must be an object", f"{section}-list")
+    for section in ("aps", "mts"):
+        for name, value in [("empty", []), ("object", {}), ("number", 1)]:
+            case((section,), value, section, "must be a non-empty list",
+                 f"{section}-{name}")
+        case((section, 1), 5, f"{section}[1]", "must be an object",
+             f"{section}[1]-number")
+
+    case(("sweep",), [], "sweep", "must be an object", "sweep-list")
+    for name, value in [("empty", []), ("number", 5e6)]:
+        case(("sweep", "B_v"), value, "sweep.B_v", "must be a non-empty list",
+             f"sweep.B_v-{name}")
+    for name, value in [("zero", 0), ("negative", -TINY), ("bool", True),
+                        ("string", "1"), ("null", None), ("nan", math.nan),
+                        ("inf", math.inf), ("huge", HUGE)]:
+        case(("sweep", "B_v", 1), value, "sweep.B_v[1]",
+             "must be a positive number", f"sweep.B_v[1]-{name}")
+    return cases
+
+
+def _patched(where, value):
+    doc = copy.deepcopy(TWO_OF_EACH)
+    target = doc
+    for part in where[:-1]:
+        target = target[part]
+    if where == ():
+        return value
+    if value is DELETE:
+        del target[where[-1]]
+    else:
+        target[where[-1]] = value
+    return doc
+
+
+class TestFaultTable:
+    """One fault per config: the loader names the field and the broken rule."""
+
+    def test_base_config_loads(self):
+        scn = load_scenario(json.dumps(TWO_OF_EACH))
+        assert (len(scn.aps), len(scn.mts), scn.bv_sweep) == (2, 2, (5e6, 1e7))
+
+    @pytest.mark.parametrize("where, value, field, message", _fault_cases())
+    def test_single_fault(self, where, value, field, message):
+        with pytest.raises(ConfigValidationError) as exc:
+            load_scenario(json.dumps(_patched(where, value)))
+        assert exc.value.field == field
+        assert str(exc.value) == f"{field}: {message}"
+
+    def test_integer_past_digit_limit(self):
+        # json.loads refuses to make an int of more than 4300 digits
+        text = json.dumps(TWO_OF_EACH).replace(
+            '"P_T": 3.0', '"P_T": ' + "1" * 5000)
+        with pytest.raises(ConfigValidationError) as exc:
+            load_scenario(text)
+        assert str(exc.value) == "aps[0].P_T: must be finite"
+
+    def test_root_not_an_object(self):
+        with pytest.raises(ConfigValidationError) as exc:
+            load_scenario("[]")
+        assert str(exc.value) == "<root>: must be a JSON object"
+
+    @pytest.mark.parametrize("section, key, attr, value", [
+        pytest.param(section, key, attr, value,
+                     id=f"{section}.{key}={value!r}")
+        for section, key, attr, _, _, inside in FIELDS for value in inside])
+    def test_bound_just_inside_loads(self, section, key, attr, value):
+        scn = load_scenario(json.dumps(_patched(_where(section, key), value)))
+        owner = {"params": scn.params, "aps": scn.aps[1],
+                 "mts": scn.mts[1]}[section]
+        loaded = getattr(owner, attr)
+        expect = math.radians(value) if key.endswith("_deg") else float(value)
+        assert loaded == expect
+        assert type(loaded) is float
