@@ -8,6 +8,7 @@ from previously written CSVs.
 
 import argparse
 import csv
+import functools
 import hashlib
 import math
 import sys
@@ -16,11 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    HrvlcError,
-    MalformedCsvError,
-)
+from .errors import ConvergenceError, HrvlcError, MalformedCsvError
 from .harvest_uplink import harvested_energy, sample_rician
 from .objective import reduce_coefficients, total_rate
 from .optimizer import grid_oracle, solve_closed_form, solve_iterative
@@ -36,19 +33,11 @@ class RunReport:
     wall_time: float
 
 
-def _fmt(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _write_csv(out_path, header, rows):
+def _write_csv(out_path, header, template, rows, tail=""):
+    """The header line, ``template % row`` per row, then ``tail`` verbatim."""
+    body = "".join([template % row for row in rows])
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines([header, "\n", body, tail])
 
 
 def _load(config_path):
@@ -90,9 +79,10 @@ def cmd_sweep(config_path, mt_index, n_points, seed, out_path):
     _, digest, assoc, _, coeffs = _prepare(config_path, mt_index, seed)
     ev = total_rate(coeffs, np.linspace(0.0, 1.0, n_points))
     e_h = harvested_energy(assoc, ev.alpha)
-    rows = list(zip(ev.alpha, ev.total, ev.downlink_term, ev.uplink_term, e_h))
-    _write_csv(out_path, ["alpha", "R_total", "R_d_term", "R_u_term", "E_H"],
-               rows)
+    cols = (ev.alpha, ev.total, ev.downlink_term, ev.uplink_term, e_h)
+    rows = list(zip(*(col.tolist() for col in cols)))
+    _write_csv(out_path, "alpha,R_total,R_d_term,R_u_term,E_H",
+               "%.17g,%.17g,%.17g,%.17g,%.17g\n", rows)
     return RunReport("sweep", digest, seed, tuple(rows),
                      time.perf_counter() - start)
 
@@ -112,9 +102,8 @@ def cmd_solve(config_path, mt_index, method, seed, out_path,
         row = (alpha, rate, 0.0, 0.0, method, 0)
     else:
         raise ValueError(f"unknown method {method!r}")
-    _write_csv(out_path,
-               ["alpha_star", "R_star", "lambda", "mu", "method", "iterations"],
-               [row])
+    _write_csv(out_path, "alpha_star,R_star,lambda,mu,method,iterations",
+               "%.17g,%.17g,%.17g,%.17g,%s,%d\n", [row])
     return RunReport("solve", digest, seed, (row,),
                      time.perf_counter() - start)
 
@@ -133,7 +122,7 @@ def cmd_converge(config_path, mt_index, eps, seed, out_path):
         else:
             # boundary binding: one iteration, no bisection residual
             rows.append((1, res.kkt.alpha, 0.0))
-    _write_csv(out_path, ["iteration", "alpha", "residual"], rows)
+    _write_csv(out_path, "iteration,alpha,residual", "%d,%.17g,%.17g\n", rows)
     return RunReport("converge", digest, seed, tuple(rows),
                      time.perf_counter() - start)
 
@@ -146,11 +135,14 @@ def cmd_montecarlo(config_path, mt_index, n_draws, seed, out_path):
     _, digest, _, h_sq, coeffs = _prepare(config_path, mt_index, seed, n_draws)
     res = solve_closed_form(coeffs)
     alphas = res.kkt.alpha
-    rows = list(zip(range(n_draws), h_sq, alphas, res.rate))
-    rows.append(("mean", "", float(np.mean(alphas)), float(np.mean(res.rate))))
-    rows.append(("std", "", float(np.std(alphas)), float(np.std(res.rate))))
-    _write_csv(out_path, ["draw_index", "h_sq", "alpha_star", "R_star"], rows)
-    return RunReport("montecarlo", digest, seed, tuple(rows),
+    rows = list(zip(range(n_draws), h_sq.tolist(), alphas.tolist(),
+                    res.rate.tolist()))
+    summary = [(stat, "", float(f(alphas)), float(f(res.rate)))
+               for stat, f in (("mean", np.mean), ("std", np.std))]
+    _write_csv(out_path, "draw_index,h_sq,alpha_star,R_star",
+               "%d,%.17g,%.17g,%.17g\n", rows,
+               "".join(["%s,%s,%.17g,%.17g\n" % row for row in summary]))
+    return RunReport("montecarlo", digest, seed, tuple(rows + summary),
                      time.perf_counter() - start)
 
 
@@ -290,8 +282,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # parse_args leaves the parser as it was, so one serves every main call
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "sweep":
             cmd_sweep(args.config, args.mt, args.points, args.seed, args.out)

@@ -202,16 +202,16 @@ def _entries(entries, table, section, room):
 def load_scenario(config_text):
     """Parse and validate a JSON scenario document.
 
-    Raises ConfigParseError on malformed JSON and ConfigValidationError
-    (with the dotted field path) on the first invariant violation: sections
-    in the order room, params, aps, mts, sweep, each entry's fields in the
-    order of its table above.
+    Raises ConfigParseError on malformed or too deeply nested JSON and
+    ConfigValidationError (with the dotted field path) on the first
+    invariant violation: sections in the order room, params, aps, mts,
+    sweep, each entry's fields in the order of its table above.
     """
     try:
         # an integer is read as the float nearest it, so one too large for a
         # float is inf, as 1e400 is; int() would refuse 4301 digits or more
         doc = json.loads(config_text, parse_int=float)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigParseError(f"invalid JSON: {exc}") from exc
     _keys(doc, {"room", "params", "aps", "mts", "sweep"}, "<root>",
           kind="a JSON object")

@@ -1,9 +1,10 @@
-"""Composed-physics and density oracles that the package itself does not need.
+"""Physics, density and CSV oracles that the package itself does not need.
 
 The package optimizes the reduced objective R(alpha).  These functions
 rebuild the same quantities link by link from the scenario, so tests can
 check the reduction against them, and give the Rician envelope density that
-the sampler is checked against.
+the sampler is checked against.  The cell-by-cell CSV writer is the
+reference that the CLI's row-template writer must match byte for byte.
 """
 
 import math
@@ -119,3 +120,23 @@ def rician_pdf(r, k, omega):
     density = (2.0 * r * kp1 / omega) * i0e(bessel_arg) * np.exp(
         -k - r * r * kp1 / omega + bessel_arg)
     return density if density.ndim else float(density)
+
+
+def _fmt(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def write_csv_reference(out_path, header, rows):
+    """CSV of ``header`` (a list of names) and ``rows``, cell by cell.
+
+    Strings verbatim, integers in decimal, anything else as a float at 17
+    significant digits; UTF-8 with LF line endings.
+    """
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")

@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hrvlc.cli
 import hrvlc.scenario
 import hrvlc.vlc_channel
 from hrvlc.cli import (
+    build_parser,
     cmd_chart,
     cmd_converge,
     cmd_montecarlo,
@@ -23,6 +25,7 @@ from hrvlc.cli import (
 )
 
 from conftest import CONFIG_DIR
+from oracles import write_csv_reference
 
 TWO_AP = str(CONFIG_DIR / "two_ap_room.json")
 SINGLE_AP = str(CONFIG_DIR / "single_ap_room.json")
@@ -308,6 +311,106 @@ class TestMainExitCodes:
         empty.write_text("")
         assert main(["chart", "--csv", str(empty),
                      "--out", str(tmp_path / "x.svg")]) == 1
+
+    def test_deeply_nested_json_is_one(self, tmp_path, capsys):
+        # deeper than the JSON decoder's recursion limit
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100000)
+        out = tmp_path / "x.csv"
+        assert main(["solve", "--config", str(cfg), "--mt", "0",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
+
+class TestCsvWriter:
+    """The row-template writer writes the reference writer's bytes."""
+
+    EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308, 0.1)
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, header, template, rows, tail_rows=()):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        tail = "".join(",".join(map(str, row)) + "\n" for row in tail_rows)
+        hrvlc.cli._write_csv(got, ",".join(header), template, rows, tail)
+        write_csv_reference(want, header, list(rows) + list(tail_rows))
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.array],
+                             ids=["float", "float64", "0-d-array"])
+    def test_float_extremes(self, tmp_path, kind):
+        rows = [(kind(x), kind(-x)) for x in self.EXTREMES]
+        self.assert_same_bytes(tmp_path, ["a", "b"], "%.17g,%.17g\n", rows)
+
+    def test_integer_columns(self, tmp_path):
+        rows = [(0, np.int64(-1), "closed"),
+                (10 ** 20, np.int64(2 ** 63 - 1), "grid")]
+        self.assert_same_bytes(tmp_path, ["i", "j", "method"], "%d,%d,%s\n",
+                               rows)
+
+    def test_summary_tail(self, tmp_path):
+        rows = [(i, np.float64(x), x) for i, x in enumerate(self.EXTREMES)]
+        self.assert_same_bytes(tmp_path, ["draw_index", "h_sq", "alpha"],
+                               "%d,%.17g,%.17g\n", rows,
+                               [("mean", "", "0.5"), ("std", "", "0")])
+
+    SOLVE = ["alpha_star", "R_star", "lambda", "mu", "method", "iterations"]
+    MONTECARLO = ["draw_index", "h_sq", "alpha_star", "R_star"]
+
+    @pytest.mark.parametrize("run, header", [
+        (lambda out: cmd_sweep(TWO_AP, 0, 1001, 7, out),
+         ["alpha", "R_total", "R_d_term", "R_u_term", "E_H"]),
+        (lambda out: cmd_solve(TWO_AP, 0, "closed", 7, out), SOLVE),
+        (lambda out: cmd_solve(TWO_AP, 0, "iter", 7, out), SOLVE),
+        (lambda out: cmd_solve(TWO_AP, 0, "grid", 7, out), SOLVE),
+        (lambda out: cmd_converge(TWO_AP, 0, 1e-9, 7, out),
+         ["iteration", "alpha", "residual"]),
+        (lambda out: cmd_montecarlo(TWO_AP, 0, 1, 7, out), MONTECARLO),
+        (lambda out: cmd_montecarlo(TWO_AP, 0, 200, 7, out), MONTECARLO),
+    ], ids=["sweep", "solve-closed", "solve-iter", "solve-grid", "converge",
+            "montecarlo-1", "montecarlo-200"])
+    def test_command_csv(self, tmp_path, run, header):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        report = run(str(got))
+        write_csv_reference(want, header, report.rows)
+        assert got.read_bytes() == want.read_bytes()
+
+
+class TestReusedParser:
+    """main's one parser starts each call from the defaults."""
+
+    def test_interleaved_calls_match_a_fresh_parser(self, tmp_path,
+                                                    monkeypatch):
+        out = tmp_path / "x.csv"
+        common = ["--config", TWO_AP, "--mt", "0", "--out", str(out)]
+        calls = [["solve", "--method", "grid", "--points", "101"] + common,
+                 ["solve", "--method", "grid"] + common,
+                 ["solve", "--method", "bogus"] + common,
+                 ["sweep", "--points", "11"] + common]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            if not out.exists():
+                return code, None
+            data = out.read_bytes()
+            out.unlink()
+            return code, data
+
+        shared = [run(argv) for argv in calls]
+        assert hrvlc.cli._parser() is hrvlc.cli._parser()
+        monkeypatch.setattr(hrvlc.cli, "_parser", build_parser)
+        fresh = [run(argv) for argv in calls]
+        assert shared == fresh
+        assert shared[2] == (("SystemExit", 2), None)
+        default_grid = tmp_path / "default_grid.csv"
+        cmd_solve(TWO_AP, 0, "grid", 0, str(default_grid), n_points=10001)
+        assert shared[1] == (0, default_grid.read_bytes())
+        assert shared[0][1] != shared[1][1]
 
 
 class TestOnePassPerCall:
