@@ -18,7 +18,6 @@ from .optimizer import (
     grid_oracle,
     solve_closed_form,
     solve_iterative,
-    stationary_alpha,
 )
 from .scenario import (
     Association,

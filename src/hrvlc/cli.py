@@ -10,6 +10,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import itertools
 import math
 import sys
 import time
@@ -150,25 +151,43 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _read_numeric_csv(csv_path):
+    """(header, values): a header row, then equal-width rows of finite numbers.
+
+    Blank lines are skipped and cells parse as ``float`` parses them;
+    ``values`` is a float64 array with one row per data row. A bad file
+    names its first bad row, checking each row for width, then for a
+    non-numeric cell, then for a non-finite one.
+    """
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        table = [row for row in reader if row]
+        try:
+            table = list(filter(None, csv.reader(fh)))
+        except csv.Error as exc:
+            raise MalformedCsvError(f"{csv_path}: {exc}") from exc
     if len(table) < 2:
         raise MalformedCsvError(f"{csv_path}: no data rows")
     header, data = table[0], table[1:]
-    parsed = []
+    width = len(header)
+    if width < 2:
+        raise MalformedCsvError(f"{csv_path}: need at least 2 columns")
+    try:
+        if set(map(len, data)) == {width}:
+            cells = itertools.chain.from_iterable(data)
+            values = np.fromiter(map(float, cells), float, len(data) * width)
+            if np.isfinite(values).all():
+                return header, values.reshape(len(data), width)
+    except ValueError:  # a non-numeric cell
+        pass
+    # some row is bad: walk them in order to name the first
     for row in data:
-        if len(row) != len(header):
+        if len(row) != width:
             raise MalformedCsvError(f"{csv_path}: ragged row {row!r}")
         try:
-            values = [float(v) for v in row]
+            cells = [float(v) for v in row]
         except ValueError as exc:
             raise MalformedCsvError(
                 f"{csv_path}: non-numeric value in {row!r}") from exc
-        if not all(map(math.isfinite, values)):
+        if not all(map(math.isfinite, cells)):
             raise MalformedCsvError(f"{csv_path}: non-finite value in {row!r}")
-        parsed.append(values)
-    return header, parsed
 
 
 def cmd_chart(csv_path, out_path):
@@ -178,36 +197,51 @@ def cmd_chart(csv_path, out_path):
     boundaries are iteration-counter resets); any other CSV gets one
     polyline per column plotted against the first column.
     """
-    header, data = _read_numeric_csv(csv_path)
-    series = []
+    header, values = _read_numeric_csv(csv_path)
+    x = values[:, 0]
     if header[0] == "iteration":
-        block = []
-        prev = None
-        count = 0
-        for row in data:
-            if prev is not None and row[0] <= prev:
-                count += 1
-                series.append((f"block {count}", block))
-                block = []
-            block.append((row[0], row[1]))
-            prev = row[0]
-        series.append((f"block {count + 1}", block))
+        y = values[:, 1]
+        resets = np.flatnonzero(x[1:] <= x[:-1]) + 1
+        bounds = np.concatenate(([0], resets, [y.size]))
+        names = [f"block {k}" for k in range(1, bounds.size)]
         x_label, y_label = "iteration", "alpha"
     else:
-        for j in range(1, len(header)):
-            series.append((header[j], [(row[0], row[j]) for row in data]))
+        y = values[:, 1:].T.ravel()
+        bounds = np.arange(0, y.size + 1, x.size)
+        names = header[1:]
         x_label, y_label = header[0], "value (per-series normalized)"
-    _write_svg(out_path, series, x_label, y_label)
+    _write_svg(out_path, x, y, bounds, names, x_label, y_label)
 
 
-def _write_svg(out_path, series, x_label, y_label):
+def _escape(text):
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _write_svg(out_path, x, y, bounds, names, x_label, y_label):
+    """Line chart of series ``names[k]``: ``y[bounds[k]:bounds[k + 1]]``.
+
+    ``y`` holds the series end to end and its point i is drawn at
+    ``x[i % len(x)]``: a series spans all of ``x`` or its own run of rows.
+    Each series is scaled to the plot height on its own.
+    """
     width, height, margin = 800, 500, 60
-    xs = [x for _, pts in series for x, _ in pts]
+    # the axis labels print these: of 0.0 and -0.0, min and max keep the first
+    xs = x.tolist()
     x_lo, x_hi = min(xs), max(xs)
     x_span = (x_hi - x_lo) or 1.0
-
-    def sx(x):
-        return margin + (x - x_lo) / x_span * (width - 2 * margin)
+    # as Python float arithmetic does, let extreme values overflow quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        px = margin + (x - x_lo) / x_span * (width - 2 * margin)
+        starts, counts = bounds[:-1], np.diff(bounds)
+        y_lo = np.minimum.reduceat(y, starts)
+        y_span = np.maximum.reduceat(y, starts) - y_lo
+        y_span[y_span == 0.0] = 1.0
+        py = height - margin - (y - np.repeat(y_lo, counts)) / np.repeat(
+            y_span, counts) * (height - 2 * margin)
+    # each "x," is formatted once; a series fills in its y values
+    points = ["%.2f,%%.2f" % v for v in px.tolist()] * (y.size // x.size)
+    ys = py.tolist()
+    bounds = bounds.tolist()
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -218,7 +252,7 @@ def _write_svg(out_path, series, x_label, y_label):
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<text x="{width / 2}" y="{height - margin / 4}" '
-        f'text-anchor="middle">{x_label}</text>',
+        f'text-anchor="middle">{_escape(x_label)}</text>',
         f'<text x="{margin / 4}" y="{height / 2}" text-anchor="middle" '
         f'transform="rotate(-90 {margin / 4} {height / 2})">{y_label}</text>',
         f'<text x="{margin}" y="{height - margin + 20}" '
@@ -226,20 +260,14 @@ def _write_svg(out_path, series, x_label, y_label):
         f'<text x="{width - margin}" y="{height - margin + 20}" '
         f'text-anchor="middle">{x_hi:g}</text>',
     ]
-    for idx, (name, pts) in enumerate(series):
-        ys = [y for _, y in pts]
-        y_lo, y_hi = min(ys), max(ys)
-        y_span = (y_hi - y_lo) or 1.0
-
-        def sy(y):
-            return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
-
+    for idx, (name, start, stop) in enumerate(zip(names, bounds, bounds[1:])):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+        coords = " ".join(points[start:stop]) % tuple(ys[start:stop])
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{coords}"/>')
         parts.append(f'<text x="{width - margin - 150}" '
-                     f'y="{margin + 18 * idx}" fill="{color}">{name}</text>')
+                     f'y="{margin + 18 * idx}" fill="{color}">'
+                     f'{_escape(name)}</text>')
     parts.append("</svg>")
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -29,10 +29,6 @@ class NoCoverageError(HrvlcError):
     """Every AP yields zero channel gain for the terminal."""
 
 
-class DegenerateObjective(HrvlcError):
-    """The rate objective has no interior stationary point (boundary optimum)."""
-
-
 class ConvergenceError(HrvlcError):
     """The iterative solver exhausted its iteration budget."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateObjective
+from .errors import ConvergenceError
 from .objective import (LN2, downlink_log_term, rate_derivative,
                         rate_second_derivative, total_rate)
 
@@ -43,19 +43,6 @@ class OptResult:
     @property
     def iterations(self):
         return len(self.trace)
-
-
-def stationary_alpha(coeffs):
-    """Unconstrained root of dR/dalpha; may fall outside [0, 1].
-
-    Raises DegenerateObjective when the objective is affine in alpha
-    (d = 0) or the downlink term vanishes (a = 0), in which case the
-    optimum sits on a boundary; for a batch, when any element is.
-    """
-    big_a = downlink_log_term(coeffs)
-    if np.any((coeffs.d == 0.0) | (big_a == 0.0)):
-        raise DegenerateObjective("no interior stationary point")
-    return _root(coeffs, big_a)
 
 
 def _root(coeffs, big_a):

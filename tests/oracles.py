@@ -1,12 +1,15 @@
-"""Physics, density and CSV oracles that the package itself does not need.
+"""Physics, density, solver, CSV and SVG oracles the package does not need.
 
 The package optimizes the reduced objective R(alpha).  These functions
 rebuild the same quantities link by link from the scenario, so tests can
 check the reduction against them, and give the Rician envelope density that
-the sampler is checked against.  The cell-by-cell CSV writer is the
-reference that the CLI's row-template writer must match byte for byte.
+the sampler is checked against, and the unconstrained stationary point that
+the solvers clamp.  The cell-by-cell CSV writer and the point-by-point chart
+renderer are the references that the CLI's row-template writer and its
+array-pass chart must match byte for byte.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -19,6 +22,9 @@ from hrvlc import (
     lambertian_order,
     link_geometry,
 )
+from hrvlc.errors import HrvlcError, MalformedCsvError
+from hrvlc.objective import downlink_log_term
+from hrvlc.optimizer import _root
 
 
 @dataclass(frozen=True)
@@ -140,3 +146,119 @@ def write_csv_reference(out_path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+class DegenerateObjective(HrvlcError):
+    """The rate objective has no interior stationary point (boundary optimum)."""
+
+
+def stationary_alpha(coeffs):
+    """Unconstrained root of dR/dalpha; may fall outside [0, 1].
+
+    Raises DegenerateObjective when the objective is affine in alpha
+    (d = 0) or the downlink term vanishes (a = 0), in which case the
+    optimum sits on a boundary; for a batch, when any element is.
+    """
+    big_a = downlink_log_term(coeffs)
+    if np.any((coeffs.d == 0.0) | (big_a == 0.0)):
+        raise DegenerateObjective("no interior stationary point")
+    return _root(coeffs, big_a)
+
+
+_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def _read_numeric_csv(csv_path):
+    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        table = [row for row in reader if row]
+    if len(table) < 2:
+        raise MalformedCsvError(f"{csv_path}: no data rows")
+    header, data = table[0], table[1:]
+    parsed = []
+    for row in data:
+        if len(row) != len(header):
+            raise MalformedCsvError(f"{csv_path}: ragged row {row!r}")
+        try:
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            raise MalformedCsvError(
+                f"{csv_path}: non-numeric value in {row!r}") from exc
+        if not all(map(math.isfinite, values)):
+            raise MalformedCsvError(f"{csv_path}: non-finite value in {row!r}")
+        parsed.append(values)
+    return header, parsed
+
+
+def chart_reference(csv_path, out_path):
+    """Render a sweep or converge CSV as a self-contained SVG line chart.
+
+    Converge CSVs are split into one polyline per bandwidth block (block
+    boundaries are iteration-counter resets); any other CSV gets one
+    polyline per column plotted against the first column.
+    """
+    header, data = _read_numeric_csv(csv_path)
+    series = []
+    if header[0] == "iteration":
+        block = []
+        prev = None
+        count = 0
+        for row in data:
+            if prev is not None and row[0] <= prev:
+                count += 1
+                series.append((f"block {count}", block))
+                block = []
+            block.append((row[0], row[1]))
+            prev = row[0]
+        series.append((f"block {count + 1}", block))
+        x_label, y_label = "iteration", "alpha"
+    else:
+        for j in range(1, len(header)):
+            series.append((header[j], [(row[0], row[j]) for row in data]))
+        x_label, y_label = header[0], "value (per-series normalized)"
+    _write_svg(out_path, series, x_label, y_label)
+
+
+def _write_svg(out_path, series, x_label, y_label):
+    width, height, margin = 800, 500, 60
+    xs = [x for _, pts in series for x, _ in pts]
+    x_lo, x_hi = min(xs), max(xs)
+    x_span = (x_hi - x_lo) or 1.0
+
+    def sx(x):
+        return margin + (x - x_lo) / x_span * (width - 2 * margin)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+        f'y2="{height - margin}" stroke="black"/>',
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
+        f'y2="{height - margin}" stroke="black"/>',
+        f'<text x="{width / 2}" y="{height - margin / 4}" '
+        f'text-anchor="middle">{x_label}</text>',
+        f'<text x="{margin / 4}" y="{height / 2}" text-anchor="middle" '
+        f'transform="rotate(-90 {margin / 4} {height / 2})">{y_label}</text>',
+        f'<text x="{margin}" y="{height - margin + 20}" '
+        f'text-anchor="middle">{x_lo:g}</text>',
+        f'<text x="{width - margin}" y="{height - margin + 20}" '
+        f'text-anchor="middle">{x_hi:g}</text>',
+    ]
+    for idx, (name, pts) in enumerate(series):
+        ys = [y for _, y in pts]
+        y_lo, y_hi = min(ys), max(ys)
+        y_span = (y_hi - y_lo) or 1.0
+
+        def sy(y):
+            return height - margin - (y - y_lo) / y_span * (height - 2 * margin)
+
+        color = _PALETTE[idx % len(_PALETTE)]
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+        parts.append(f'<polyline fill="none" stroke="{color}" '
+                     f'stroke-width="1.5" points="{coords}"/>')
+        parts.append(f'<text x="{width - margin - 150}" '
+                     f'y="{margin + 18 * idx}" fill="{color}">{name}</text>')
+    parts.append("</svg>")
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n")

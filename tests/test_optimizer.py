@@ -10,12 +10,11 @@ from hrvlc import (
     rate_derivative,
     solve_closed_form,
     solve_iterative,
-    stationary_alpha,
     total_rate,
 )
-from hrvlc.errors import DegenerateObjective
 
 from conftest import make_coeffs, random_coeffs
+from oracles import DegenerateObjective, stationary_alpha
 
 INTERIOR = make_coeffs(a=3, b=1, c=0, d=4, e=0, g=1, b1=1, b2=1)
 # frozen: 1 + 1/4 - 1/(2*ln 2)
