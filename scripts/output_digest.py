@@ -7,10 +7,13 @@ runs. The inputs come from the checkout holding this script: both shipped
 configs and the first eight terminals of the seeded 256-AP hall that the
 benchmark's room-dense workload builds. Each terminal runs, for seeds 0, 7
 and 987654, ``sweep`` at 1001 points, ``solve`` by each method,
-``converge``, and ``montecarlo`` with 1 and 200 draws; every sweep and
-converge CSV is then charted. Two checkouts that write the same bytes print
-the same digest, so a change that promises identical output is checked by
-running this once with its parent as PATH and once with itself.
+``converge`` with eps 1e-9 and 1e-3, and ``montecarlo`` with 1 and 200
+draws; the two-AP room's terminal also runs ``montecarlo`` with 20000 draws
+and ``converge`` with eps 1e-300, past the bits of its midpoints. Every
+sweep and eps 1e-9 converge CSV is then charted. Two checkouts that write
+the same bytes print the same digest, so a change that promises identical
+output is checked by running this once with its parent as PATH and once
+with itself.
 """
 
 import argparse
@@ -35,8 +38,13 @@ CALLS = (
     ("solve-iter", ["solve", "--method", "iter"]),
     ("solve-grid", ["solve", "--method", "grid"]),
     ("converge", ["converge"]),
+    ("converge-1e-3", ["converge", "--eps", "1e-3"]),
     ("montecarlo-1", ["montecarlo", "--draws", "1"]),
     ("montecarlo-200", ["montecarlo", "--draws", "200"]),
+)
+TWO_AP_CALLS = (
+    ("montecarlo-20000", ["montecarlo", "--draws", "20000"]),
+    ("converge-1e-300", ["converge", "--eps", "1e-300"]),
 )
 CHARTED = ("sweep", "converge")
 
@@ -91,8 +99,9 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for name, config, mt in _terminals(workdir):
+            calls = CALLS + (TWO_AP_CALLS if name == "two_ap_room[0]" else ())
             for seed in SEEDS:
-                for label, argv in CALLS:
+                for label, argv in calls:
                     tag = f"{name}-seed{seed}-{label}"
                     csv_out = workdir / f"{tag}.csv"
                     record(tag, *_run(cli, argv + [

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, HrvlcError, MalformedCsvError
-from .harvest_uplink import harvested_energy, sample_rician
+from .harvest_uplink import harvested_energy, rician_envelope
 from .objective import reduce_coefficients, total_rate
 from .optimizer import grid_oracle, solve_closed_form, solve_iterative
 from .scenario import associate, load_scenario
@@ -47,17 +47,24 @@ def _load(config_path):
     return load_scenario(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
 
 
-def _fading_power(mt, seed, draw_index):
-    # each draw owns a generator derived from (master seed, draw index)
-    rng = np.random.default_rng([seed, draw_index])
-    h = sample_rician(mt.rician_k, mt.rician_omega, rng)
+def _fading_power(mt, seed, n_draws):
+    """|h|^2 of fading draws 0..n_draws-1 as one array.
+
+    Draw i owns the generator ``default_rng([seed, i])`` and takes its
+    (real, imaginary) normal pair from one ``standard_normal(2)`` call.
+    """
+    pairs = np.empty((n_draws, 2))
+    for i in range(n_draws):
+        pairs[i] = np.random.default_rng([seed, i]).standard_normal(2)
+    h = rician_envelope(mt.rician_k, mt.rician_omega, pairs[:, 0], pairs[:, 1])
     return h * h
 
 
 def _prepare(config_path, mt_index, seed, n_draws=None):
     """(scenario, digest, association, h_sq, coefficients) of one terminal.
 
-    h_sq is fading draw 0, or with n_draws an array of draws 0..n_draws-1.
+    h_sq is fading draw 0 as a float, or with n_draws an array of draws
+    0..n_draws-1.
     """
     scn, digest = _load(config_path)
     if not 0 <= mt_index < len(scn.mts):
@@ -65,9 +72,9 @@ def _prepare(config_path, mt_index, seed, n_draws=None):
     assoc = associate(scn, mt_index)
     mt = scn.mts[mt_index]
     if n_draws is None:
-        h_sq = _fading_power(mt, seed, 0)
+        h_sq = float(_fading_power(mt, seed, 1)[0])
     else:
-        h_sq = np.array([_fading_power(mt, seed, i) for i in range(n_draws)])
+        h_sq = _fading_power(mt, seed, n_draws)
     coeffs = reduce_coefficients(scn, mt_index, assoc, h_sq)
     return scn, digest, assoc, h_sq, coeffs
 
@@ -113,16 +120,14 @@ def cmd_converge(config_path, mt_index, eps, seed, out_path):
     """Bisection traces, one block per VLC bandwidth in the config sweep list."""
     start = time.perf_counter()
     scn, digest, _, _, coeffs = _prepare(config_path, mt_index, seed)
-    rows = []
     # association does not depend on B_v: swap only b = N0*B_v and b1 = B_v
-    for b_v in scn.bv_sweep or (scn.params.b_v,):
-        res = solve_iterative(replace(coeffs, b=scn.params.n0 * b_v, b1=b_v),
-                              eps=eps)
-        if res.trace:
-            rows.extend(res.trace)
-        else:
-            # boundary binding: one iteration, no bisection residual
-            rows.append((1, res.kkt.alpha, 0.0))
+    b_v = np.array(scn.bv_sweep or (scn.params.b_v,))
+    res = solve_iterative(replace(coeffs, b=scn.params.n0 * b_v, b1=b_v),
+                          eps=eps)
+    rows = []
+    for trace, alpha in zip(res.trace, res.kkt.alpha.tolist()):
+        # boundary binding: one iteration, no bisection residual
+        rows.extend(trace or [(1, alpha, 0.0)])
     _write_csv(out_path, "iteration,alpha,residual", "%d,%.17g,%.17g\n", rows)
     return RunReport("converge", digest, seed, tuple(rows),
                      time.perf_counter() - start)
@@ -148,6 +153,12 @@ def cmd_montecarlo(config_path, mt_index, n_draws, seed, out_path):
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+# the characters XML 1.0 forbids, but the surrogates, which no text decoded
+# as UTF-8 holds: the C0 controls other than tab, LF and CR, U+FFFE, U+FFFF
+_NOT_XML = (frozenset(map(chr, range(0x20))) - set("\t\n\r")
+            | {"\ufffe", "\uffff"})
 
 
 def _read_numeric_csv(csv_path):
@@ -195,49 +206,65 @@ def cmd_chart(csv_path, out_path):
 
     Converge CSVs are split into one polyline per bandwidth block (block
     boundaries are iteration-counter resets); any other CSV gets one
-    polyline per column plotted against the first column.
+    polyline per column plotted against the first column. A CSV is refused
+    for a header cell that XML 1.0 cannot hold, and for a column or block
+    whose values span more than the largest float.
     """
     header, values = _read_numeric_csv(csv_path)
+    for name in header:
+        if not _NOT_XML.isdisjoint(name):
+            raise MalformedCsvError(
+                f"{csv_path}: header {name!r} has a character XML forbids")
     x = values[:, 0]
     if header[0] == "iteration":
         y = values[:, 1]
         resets = np.flatnonzero(x[1:] <= x[:-1]) + 1
         bounds = np.concatenate(([0], resets, [y.size]))
         names = [f"block {k}" for k in range(1, bounds.size)]
+        columns = header[1:2] * len(names)
         x_label, y_label = "iteration", "alpha"
     else:
         y = values[:, 1:].T.ravel()
         bounds = np.arange(0, y.size + 1, x.size)
-        names = header[1:]
+        names = columns = header[1:]
         x_label, y_label = header[0], "value (per-series normalized)"
-    _write_svg(out_path, x, y, bounds, names, x_label, y_label)
+    y_lo = np.minimum.reduceat(y, bounds[:-1])
+    with np.errstate(over="ignore"):
+        spans = np.concatenate(([np.ptp(x)],
+                                np.maximum.reduceat(y, bounds[:-1]) - y_lo))
+    # scaled by an infinite span, a series would be drawn at nan
+    for column, span in zip(header[:1] + columns, spans.tolist()):
+        if span == math.inf:
+            raise MalformedCsvError(
+                f"{csv_path}: column {column!r} spans more than the float "
+                "range")
+    _write_svg(out_path, x, y, bounds, y_lo, spans[1:], names, x_label,
+               y_label)
 
 
 def _escape(text):
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _write_svg(out_path, x, y, bounds, names, x_label, y_label):
+def _write_svg(out_path, x, y, bounds, y_lo, y_span, names, x_label,
+               y_label):
     """Line chart of series ``names[k]``: ``y[bounds[k]:bounds[k + 1]]``.
 
     ``y`` holds the series end to end and its point i is drawn at
     ``x[i % len(x)]``: a series spans all of ``x`` or its own run of rows.
-    Each series is scaled to the plot height on its own.
+    Each series is scaled to the plot height on its own, from its minimum
+    ``y_lo[k]`` over its finite span ``y_span[k]``.
     """
     width, height, margin = 800, 500, 60
     # the axis labels print these: of 0.0 and -0.0, min and max keep the first
     xs = x.tolist()
     x_lo, x_hi = min(xs), max(xs)
     x_span = (x_hi - x_lo) or 1.0
-    # as Python float arithmetic does, let extreme values overflow quietly
-    with np.errstate(over="ignore", invalid="ignore"):
-        px = margin + (x - x_lo) / x_span * (width - 2 * margin)
-        starts, counts = bounds[:-1], np.diff(bounds)
-        y_lo = np.minimum.reduceat(y, starts)
-        y_span = np.maximum.reduceat(y, starts) - y_lo
-        y_span[y_span == 0.0] = 1.0
-        py = height - margin - (y - np.repeat(y_lo, counts)) / np.repeat(
-            y_span, counts) * (height - 2 * margin)
+    px = margin + (x - x_lo) / x_span * (width - 2 * margin)
+    counts = np.diff(bounds)
+    y_span[y_span == 0.0] = 1.0
+    py = height - margin - (y - np.repeat(y_lo, counts)) / np.repeat(
+        y_span, counts) * (height - 2 * margin)
     # each "x," is formatted once; a series fills in its y values
     points = ["%.2f,%%.2f" % v for v in px.tolist()] * (y.size // x.size)
     ys = py.tolist()

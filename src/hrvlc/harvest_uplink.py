@@ -27,11 +27,21 @@ def _check_alpha(alpha):
         raise ValueError("alpha must be in [0, 1]")
 
 
+def rician_envelope(k, omega, x, y):
+    """Envelope |h| of Rician factor k and E|h|^2 = omega from normal pairs.
+
+    |h| = sqrt(omega/(1+k)) * |sqrt(k) + (x + 1j*y)/sqrt(2)|, element by
+    element over the standard normal arrays x (real part) and y (imaginary).
+    """
+    z = (x + 1j * y) / math.sqrt(2.0)
+    return math.sqrt(omega / (1.0 + k)) * np.abs(math.sqrt(k) + z)
+
+
 def sample_rician(k, omega, seed, size=None):
     """Draw envelope samples |h| with E|h|^2 = omega from a seeded generator.
 
-    |h| = sqrt(omega/(1+k)) * |sqrt(k) + z| with z a standard circular
-    complex Gaussian.  ``seed`` may be an int or a numpy Generator.
+    The generator gives ``size`` real parts, then as many imaginary parts,
+    for ``rician_envelope``.  ``seed`` may be an int or a numpy Generator.
     """
     if k < 0:
         raise ValueError("Rician factor must be >= 0")
@@ -39,7 +49,6 @@ def sample_rician(k, omega, seed, size=None):
         raise ValueError("omega must be > 0")
     rng = np.random.default_rng(seed)  # a Generator passes through as is
     n = 1 if size is None else size
-    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-    h = math.sqrt(omega / (1.0 + k)) * np.abs(math.sqrt(k) + z)
+    h = rician_envelope(k, omega, rng.standard_normal(n),
+                        rng.standard_normal(n))
     return float(h[0]) if size is None else h
-

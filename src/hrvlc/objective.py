@@ -87,16 +87,26 @@ def total_rate(coeffs, alpha):
 
 def rate_derivative(coeffs, alpha):
     """dR/dalpha, exact."""
-    return (downlink_log_term(coeffs)
-            - (coeffs.b2 * coeffs.d / LN2) / _uplink_denominator(coeffs, alpha))
+    _check_alpha(alpha)
+    return downlink_log_term(coeffs) - _uplink_slope(coeffs, alpha)
 
 
 def rate_second_derivative(coeffs, alpha):
     """d2R/dalpha2, exact; never positive."""
+    _check_alpha(alpha)
+    return _uplink_curvature(coeffs, alpha)
+
+
+def _uplink_slope(coeffs, alpha):
+    # -d(uplink term)/dalpha, for an alpha already known to be in [0, 1]
+    return (coeffs.b2 * coeffs.d / LN2) / _uplink_denominator(coeffs, alpha)
+
+
+def _uplink_curvature(coeffs, alpha):
+    # d2R/dalpha2, for an alpha already known to be in [0, 1]
     denom = _uplink_denominator(coeffs, alpha)
     return -(coeffs.b2 * coeffs.d * coeffs.d / LN2) / (denom * denom)
 
 
 def _uplink_denominator(coeffs, alpha):
-    _check_alpha(alpha)
     return coeffs.g + coeffs.d * (1.0 - alpha) + coeffs.e

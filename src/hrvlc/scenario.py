@@ -253,10 +253,10 @@ def load_scenario(config_text):
 
 
 def link_geometry(ap, mt):
-    """Distance and irradiance/incidence cosines of an AP-to-MT link.
+    """Distance and the irradiance/incidence cosine of an AP-to-MT link.
 
     APs point straight down and the photodiode faces straight up, so the
-    irradiance and incidence angles coincide and their cosine is the
+    irradiance and incidence angles coincide and their one cosine is the
     vertical drop over the Euclidean distance.
     """
     dx = ap.position.x - mt.position.x
@@ -268,7 +268,7 @@ def link_geometry(ap, mt):
     if dz <= 0:
         raise GeometryError("AP must be strictly above the MT plane")
     cos_angle = dz / d
-    return d, cos_angle, cos_angle
+    return d, cos_angle
 
 
 def associate(scn, mt_index):
@@ -289,7 +289,7 @@ def associate(scn, mt_index):
     best_gain = 0.0
     powers, terms = [], []
     for i, ap in enumerate(scn.aps):
-        d, cos_angle, _ = link_geometry(ap, mt)
+        d, cos_angle = link_geometry(ap, mt)
         m = lambertian_order(ap.half_angle)
         gain = (_los_gain(mt, g, m, d, cos_angle) if cos_angle >= cos_fov
                 else 0.0)

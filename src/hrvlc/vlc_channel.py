@@ -30,7 +30,7 @@ def concentrator_gain(n_c, fov):
 
 def channel_gain(ap, mt):
     """LOS Lambertian gain of an AP-to-MT link; zero outside the FOV."""
-    d, cos_angle, _ = link_geometry(ap, mt)
+    d, cos_angle = link_geometry(ap, mt)
     if cos_angle < math.cos(mt.fov):
         return ChannelGain(0.0, False)
     g = concentrator_gain(mt.refractive_index, mt.fov)

@@ -6,7 +6,9 @@ check the reduction against them, and give the Rician envelope density that
 the sampler is checked against, and the unconstrained stationary point that
 the solvers clamp.  The cell-by-cell CSV writer and the point-by-point chart
 renderer are the references that the CLI's row-template writer and its
-array-pass chart must match byte for byte.
+array-pass chart must match byte for byte.  The draw-by-draw fading power
+and the one-instance bisection are the references that the CLI's batched
+fading draws and the lockstep batched bisection must match bit for bit.
 """
 
 import csv
@@ -22,8 +24,13 @@ from hrvlc import (
     lambertian_order,
     link_geometry,
 )
-from hrvlc.errors import HrvlcError, MalformedCsvError
-from hrvlc.objective import downlink_log_term
+from hrvlc.errors import ConvergenceError, HrvlcError, MalformedCsvError
+from hrvlc.objective import (
+    downlink_log_term,
+    rate_derivative,
+    rate_second_derivative,
+    total_rate,
+)
 from hrvlc.optimizer import _root
 
 
@@ -89,7 +96,7 @@ def harvest_constants(scn, mt_index, serving_index):
     scale = mt.conv_coeff * scn.params.t_d * mt.oe_efficiency
     k1 = k2 = 0.0
     for k, ap in enumerate(scn.aps):
-        d, cos_phi, _ = link_geometry(ap, mt)
+        d, cos_phi = link_geometry(ap, mt)
         term = ap.power ** 2 / d ** 4 * cos_phi ** (
             2 * lambertian_order(ap.half_angle))
         if k == serving_index:
@@ -126,6 +133,66 @@ def rician_pdf(r, k, omega):
     density = (2.0 * r * kp1 / omega) * i0e(bessel_arg) * np.exp(
         -k - r * r * kp1 / omega + bessel_arg)
     return density if density.ndim else float(density)
+
+
+def rician_reference(k, omega, rng, n):
+    """n envelope samples: n real normals from ``rng``, then n imaginary."""
+    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+    return math.sqrt(omega / (1.0 + k)) * np.abs(math.sqrt(k) + z)
+
+
+def fading_power_reference(mt, seed, draw_index):
+    """|h|^2 of one fading draw, from its own generator (seed, draw_index)."""
+    rng = np.random.default_rng([seed, draw_index])
+    h = float(rician_reference(mt.rician_k, mt.rician_omega, rng, 1)[0])
+    return h * h
+
+
+def solve_iterative_reference(coeffs, eps=1e-9, max_iter=200):
+    """(alpha, rate, lam, mu, trace) of one instance, bisected step by step.
+
+    The trace holds (iteration, midpoint, bracket width) per step and is
+    empty when a bound binds.  Two Newton steps polish an interior alpha.
+    """
+    at_zero = rate_derivative(coeffs, 0.0)
+    at_one = rate_derivative(coeffs, 1.0)
+    trace = []
+    if at_zero <= 0.0 or at_one >= 0.0:
+        # d = 0 rises to full decoding, A = 0 falls to none
+        if coeffs.d == 0.0:
+            alpha = 1.0
+        elif downlink_log_term(coeffs) == 0.0:
+            alpha = 0.0
+        else:
+            alpha = 0.0 if at_zero <= 0.0 else 1.0
+    else:
+        lo, hi = 0.0, 1.0
+        prev = None
+        for iteration in range(1, max_iter + 1):
+            mid = 0.5 * (lo + hi)
+            if rate_derivative(coeffs, mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            trace.append((iteration, mid, hi - lo))
+            if prev is not None and abs(mid - prev) <= eps:
+                break
+            prev = mid
+        else:
+            raise ConvergenceError(
+                f"bisection did not converge in {max_iter} iterations")
+        alpha = mid
+        for _ in range(2):
+            slope = rate_second_derivative(coeffs, alpha)
+            if slope == 0.0:
+                break
+            candidate = alpha - rate_derivative(coeffs, alpha) / slope
+            if not 0.0 < candidate < 1.0:
+                break
+            alpha = candidate
+    lam = at_one if alpha >= 1.0 and at_one > 0.0 else 0.0
+    mu = -at_zero if alpha <= 0.0 and at_zero < 0.0 else 0.0
+    return alpha, total_rate(coeffs, alpha).total, lam, mu, tuple(trace)
 
 
 def _fmt(value):

@@ -9,6 +9,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -88,14 +89,16 @@ class TestSameBytesAsReference:
         "a,b\n7,8\n",
         "a,b\n0,1\n-0,-0\n",
         "a,b\n-0,1\n0,0\n",
-        "a,b\n-1e308,1e308\n1e308,-1e308\n0,5e-324\n",
+        "a,b\n-8.9e307,8.9e307\n8.9e307,-8.9e307\n0,5e-324\n",
         "iteration,alpha\n1,0.5\n1,0.25\n2,0.375\n1,0.9\n0,0.1\n",
         "iteration,alpha,residual\n3,0.5,1\n2,0.25,1\n5,0.125,2\n",
         "x y,é\n1,2\n3,4\n",
+        # the column spans more than the largest float, but no block does
+        "iteration,alpha\n1,1e308\n2,0\n1,-1e308\n",
     ], ids=["quoted", "space-padded", "underscores", "crlf", "blank-lines",
             "constant-x", "negative", "one-row", "zero-then-minus-zero",
             "minus-zero-then-zero", "extremes", "converge-resets",
-            "converge-falling", "unicode-header"])
+            "converge-falling", "unicode-header", "blocks-apart"])
     def test_hand_written(self, tmp_path, text):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -132,6 +135,33 @@ class TestFirstError:
             cmd_chart(str(path), str(tmp_path / "x.svg"))
         assert str(err.value) == f"{path}: need at least 2 columns"
 
+    @pytest.mark.parametrize("text, column", [
+        ("a,b\n-1e308,1e308\n1e308,-1e308\n0,5e-324\n", "a"),
+        ("a,b\n0,1.7976931348623157e308\n1,-1e300\n", "b"),
+        ("iteration,alpha\n1,0\n2,1e308\n3,-1e308\n1,5\n", "alpha"),
+    ])
+    def test_range_past_the_largest_float(self, tmp_path, capsys, text,
+                                          column):
+        # the reference scales such a column by an infinite span to nan
+        path = write(tmp_path, text)
+        assert b"nan" in outcome(chart_reference, path,
+                                 tmp_path / "want.svg")[1]
+        svg = tmp_path / "x.svg"
+        assert main(["chart", "--csv", str(path), "--out", str(svg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: column {column!r} spans more than the float "
+            "range\n")
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("name", ["\x01b", "b\x1f", "\ufffe", "a\x00"])
+    def test_header_xml_cannot_hold(self, tmp_path, capsys, name):
+        path = write(tmp_path, f"a,{name}\n0,1\n1,2\n")
+        svg = tmp_path / "x.svg"
+        assert main(["chart", "--csv", str(path), "--out", str(svg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: header {name!r} has a character XML forbids\n")
+        assert not svg.exists()
+
     def test_cell_past_field_limit_is_one_error_line(self, tmp_path, capsys):
         path = write(tmp_path, "a,b\n" + "1" * 200000 + ",2\n")
         svg = tmp_path / "x.svg"
@@ -151,6 +181,20 @@ class TestLabels:
         assert "<x>&" in texts and "a" in texts and "<b>&" in texts
         assert "&amp;" in svg.read_text() and "<b>" not in svg.read_text()
 
+    def test_every_character_xml_allows_parses_back(self, tmp_path):
+        names = ["\t\u00e9\U0001f600", "\ud7ff\ue000\ufffd", "x\U0010ffff",
+                 "a\r\nb"]
+        path = tmp_path / "in.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["x"] + names, [0, 1, 2, 3, 4],
+                                      [1, 2, 1, 0, 5]])
+        svg = tmp_path / "x.svg"
+        cmd_chart(str(path), str(svg))
+        texts = [node.firstChild.data for node in
+                 minidom.parse(str(svg)).getElementsByTagName("text")]
+        # the parser reads a CR LF in text as one LF
+        assert texts[-4:] == names[:3] + ["a\nb"]
+
 
 # cells and separators of small CSVs, numbers and non-numbers alike
 TOKENS = st.sampled_from(["0", "1", "-", "+", ".", "e", "5", "_", "inf",
@@ -169,8 +213,16 @@ def test_chart_matches_reference_on_small_csvs(tmp_path, text):
     got = outcome(cmd_chart, path, tmp_path / "got.svg")
     if len(table) >= 2 and len(table[0]) < 2:
         assert got == ("error", f"{path}: need at least 2 columns")
+        return
+    want = outcome(chart_reference, path, tmp_path / "want.svg")
+    if want[0] == "ok" and re.search(rb'points="[^"]*nan', want[1]):
+        # the reference scaled a series by an infinite span; no token
+        # here makes a header that XML forbids
+        assert got[0] == "error"
+        assert re.fullmatch(f"{re.escape(str(path))}: column '.*' spans "
+                            "more than the float range", got[1])
     else:
-        assert got == outcome(chart_reference, path, tmp_path / "want.svg")
+        assert got == want
 
 
 @settings(max_examples=300, deadline=None,

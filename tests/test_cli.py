@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,10 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hrvlc.cli
+import hrvlc.harvest_uplink
+import hrvlc.optimizer
 import hrvlc.scenario
 import hrvlc.vlc_channel
+from hrvlc import load_scenario
 from hrvlc.cli import (
     build_parser,
     cmd_chart,
@@ -24,8 +32,8 @@ from hrvlc.cli import (
     main,
 )
 
-from conftest import CONFIG_DIR
-from oracles import write_csv_reference
+from conftest import CONFIG_DIR, make_mt
+from oracles import fading_power_reference, write_csv_reference
 
 TWO_AP = str(CONFIG_DIR / "two_ap_room.json")
 SINGLE_AP = str(CONFIG_DIR / "single_ap_room.json")
@@ -251,6 +259,20 @@ class TestMainExitCodes:
         assert main(["solve", "--config", str(bad), "--mt", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("argv", [["solve", "--method", "iter"],
+                                      ["converge"]])
+    def test_step_budget_below_k_eps_is_three(self, tmp_path, capsys,
+                                              monkeypatch, argv):
+        # eps 1e-9 needs K = 30 steps; cut the budget of 200 to 29
+        monkeypatch.setattr(hrvlc.cli, "solve_iterative", functools.partial(
+            hrvlc.optimizer.solve_iterative, max_iter=29))
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--config", TWO_AP, "--mt", "0",
+                            "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: bisection did not converge in 29 iterations\n")
+        assert not out.exists()
+
     def test_bad_mt_index_is_one(self, tmp_path):
         assert main(["solve", "--config", TWO_AP, "--mt", "5",
                      "--out", str(tmp_path / "x.csv")]) == 1
@@ -414,7 +436,11 @@ class TestReusedParser:
 
 
 class TestOnePassPerCall:
-    """Each call parses its config once and evaluates each AP link once."""
+    """Each call parses its config once and evaluates each AP link once.
+
+    It also draws its fades through one envelope pass, never through
+    ``sample_rician``, and bisects in at most one ``solve_iterative`` call.
+    """
 
     @pytest.fixture
     def three_ap(self, tmp_path):
@@ -425,17 +451,21 @@ class TestOnePassPerCall:
         path.write_text(json.dumps(doc, indent=1))
         return str(path)
 
-    @pytest.mark.parametrize("run", [
-        lambda cfg, out: cmd_sweep(cfg, 0, 11, 7, out),
-        lambda cfg, out: cmd_solve(cfg, 0, "closed", 7, out),
-        lambda cfg, out: cmd_solve(cfg, 0, "iter", 7, out),
-        lambda cfg, out: cmd_solve(cfg, 0, "grid", 7, out, n_points=101),
-        lambda cfg, out: cmd_converge(cfg, 0, 1e-9, 7, out),
-        lambda cfg, out: cmd_montecarlo(cfg, 0, 5, 7, out),
+    @pytest.mark.parametrize("run, bisections", [
+        (lambda cfg, out: cmd_sweep(cfg, 0, 11, 7, out), 0),
+        (lambda cfg, out: cmd_solve(cfg, 0, "closed", 7, out), 0),
+        (lambda cfg, out: cmd_solve(cfg, 0, "iter", 7, out), 1),
+        (lambda cfg, out: cmd_solve(cfg, 0, "grid", 7, out, n_points=101),
+         0),
+        (lambda cfg, out: cmd_converge(cfg, 0, 1e-9, 7, out), 1),
+        (lambda cfg, out: cmd_montecarlo(cfg, 0, 5, 7, out), 0),
     ], ids=["sweep", "solve-closed", "solve-iter", "solve-grid", "converge",
             "montecarlo"])
-    def test_counts_and_digest(self, tmp_path, monkeypatch, three_ap, run):
-        calls = {"link_geometry": 0, "lambertian_order": 0, "loads": 0}
+    def test_counts_and_digest(self, tmp_path, monkeypatch, three_ap, run,
+                               bisections):
+        calls = {"link_geometry": 0, "lambertian_order": 0, "loads": 0,
+                 "rician_envelope": 0, "sample_rician": 0,
+                 "solve_iterative": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -445,7 +475,10 @@ class TestOnePassPerCall:
 
         # replace every binding, so a module-level import is counted too
         for fn in (hrvlc.scenario.link_geometry,
-                   hrvlc.vlc_channel.lambertian_order):
+                   hrvlc.vlc_channel.lambertian_order,
+                   hrvlc.harvest_uplink.rician_envelope,
+                   hrvlc.harvest_uplink.sample_rician,
+                   hrvlc.optimizer.solve_iterative):
             for mod in list(sys.modules.values()):
                 if not getattr(mod, "__name__", "").startswith("hrvlc"):
                     continue
@@ -455,9 +488,30 @@ class TestOnePassPerCall:
                                             counted(fn.__name__, fn))
         monkeypatch.setattr(json, "loads", counted("loads", json.loads))
         report = run(three_ap, str(tmp_path / "out.csv"))
-        assert calls == {"link_geometry": 3, "lambertian_order": 3, "loads": 1}
+        assert calls == {"link_geometry": 3, "lambertian_order": 3, "loads": 1,
+                         "rician_envelope": 1, "sample_rician": 0,
+                         "solve_iterative": bisections}
         with open(three_ap, "rb") as fh:
             assert report.digest == hashlib.sha256(fh.read()).hexdigest()
+
+
+class TestBatchedFading:
+    """Every draw of a call from one envelope pass, bit for bit."""
+
+    @pytest.mark.parametrize("k", [0.0, 0.7, 3.0, 1e12])
+    @pytest.mark.parametrize("n_draws", [1, 200, 20000])
+    def test_matches_the_draw_by_draw_reference(self, k, n_draws):
+        mt = make_mt(rician_k=k, rician_omega=1.7)
+        got = hrvlc.cli._fading_power(mt, 11, n_draws)
+        want = [fading_power_reference(mt, 11, i) for i in range(n_draws)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_one_fade_is_draw_zero_as_a_float(self):
+        # the fade that sweep, solve and converge use
+        mt = load_scenario(Path(TWO_AP).read_text()).mts[0]
+        h_sq = hrvlc.cli._prepare(TWO_AP, 0, 5)[3]
+        assert type(h_sq) is float
+        assert h_sq == fading_power_reference(mt, 5, 0)
 
 
 def _subprocess_env(**extra):
@@ -487,3 +541,93 @@ def test_first_error_does_not_depend_on_hash_seed(tmp_path, hash_seed):
         text=True, timeout=60)
     assert done.returncode == 1
     assert done.stderr == "error: params.B_v: missing\n"
+
+
+# good and bad values of each flag; <name> stands for a path the test
+# makes. --points and --draws stay small.
+GOOD = {
+    "--config": st.sampled_from(["<two_ap>", "<single_ap>"]),
+    "--mt": st.just("0"),
+    "--seed": st.integers(0, 2 ** 70).map(str),
+    "--out": st.just("<out>"),
+    "--points": st.integers(2, 2000).map(str),
+    "--draws": st.integers(1, 300).map(str),
+    "--eps": st.sampled_from(["1e-9", "1e-3", "0.5", "1e-300", "5e-324"]),
+    "--method": st.sampled_from(["closed", "iter", "grid"]),
+    "--csv": st.sampled_from(["<sweep_csv>", "<converge_csv>"]),
+}
+BAD = {
+    "--config": st.sampled_from(["<missing>", "<sweep_csv>", "<dir>", ""]),
+    "--mt": st.sampled_from(["1", "-1", "x", ""]),
+    "--seed": st.sampled_from(["-1", "0.5"]),
+    "--out": st.sampled_from(["<dir>", "<missing>/x.csv", ""]),
+    "--points": st.sampled_from(["1", "0", "-3", "1e3"]),
+    "--draws": st.sampled_from(["0", "-3", "2.5"]),
+    "--eps": st.sampled_from(["0", "-1", "nan", "inf", "1e309", "x"]),
+    "--method": st.just("newton"),
+    "--csv": st.sampled_from(["<two_ap>", "<missing>", "<dir>", "<out>"]),
+}
+COMMON = ["--config", "--mt", "--out"]
+REQUIRED = {"sweep": COMMON, "solve": COMMON, "converge": COMMON,
+            "montecarlo": COMMON, "chart": ["--csv", "--out"]}
+OPTIONAL = {"sweep": ["--seed", "--points"],
+            "solve": ["--seed", "--method", "--eps", "--points"],
+            "converge": ["--seed", "--eps"],
+            "montecarlo": ["--seed", "--draws"], "chart": []}
+
+
+@st.composite
+def cli_argv(draw):
+    """A command and its flags in any order, with at most one fault: a bad
+    value, a missing flag or a stray token."""
+    command = draw(st.sampled_from(sorted(REQUIRED)))
+    flags = REQUIRED[command] + [flag for flag in OPTIONAL[command]
+                                 if draw(st.booleans())]
+    values = {flag: draw(GOOD[flag]) for flag in flags}
+    fault = draw(st.sampled_from(["none", "none", "value", "missing",
+                                  "stray"]))
+    if fault == "value":
+        flag = draw(st.sampled_from(flags))
+        values[flag] = draw(BAD[flag])
+    elif fault == "missing":
+        del values[draw(st.sampled_from(flags))]
+    argv = [command] + [token for flag in draw(st.permutations(list(values)))
+                        for token in (flag, values[flag])]
+    if fault == "stray":
+        argv.insert(draw(st.integers(1, len(argv))), draw(
+            st.sampled_from(sorted(GOOD)) | st.text(max_size=6)))
+    return argv
+
+
+ERROR_LINE = re.compile(r"(hrvlc(?: \w+)?: )?error: ")
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_any_argv_exits_with_a_documented_code(tmp_path, monkeypatch, argv):
+    # a bare token may be taken as a path: keep what it writes in tmp_path
+    monkeypatch.chdir(tmp_path)
+    paths = {"<two_ap>": TWO_AP, "<single_ap>": SINGLE_AP,
+             "<missing>": str(tmp_path / "missing"), "<dir>": str(tmp_path),
+             "<out>": str(tmp_path / "out.csv"),
+             "<sweep_csv>": str(tmp_path / "sweep.csv"),
+             "<converge_csv>": str(tmp_path / "converge.csv")}
+    if not (tmp_path / "sweep.csv").exists():
+        cmd_sweep(TWO_AP, 0, 11, 0, paths["<sweep_csv>"])
+        cmd_converge(TWO_AP, 0, 1e-3, 0, paths["<converge_csv>"])
+    argv = [token.replace("<missing>", paths["<missing>"])
+            if token.startswith("<missing>") else paths.get(token, token)
+            for token in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    errors = [line for line in err.getvalue().splitlines()
+              if ERROR_LINE.match(line)]
+    assert len(errors) == (code != 0)
+    assert "Traceback" not in err.getvalue()

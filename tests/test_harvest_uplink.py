@@ -16,6 +16,7 @@ from conftest import make_ap, make_mt, make_params, make_scenario
 from oracles import (
     HarvestConstants,
     rician_pdf,
+    rician_reference,
     uplink_budget,
     uplink_rate,
     uplink_snr,
@@ -50,7 +51,7 @@ class TestHarvestConstants:
 
         # oracle: recompute both coefficients term by term from raw geometry
         def term(ap):
-            d, cos_phi, _ = link_geometry(ap, mt)
+            d, cos_phi = link_geometry(ap, mt)
             m = lambertian_order(ap.half_angle)
             return ap.power ** 2 / d ** 4 * cos_phi ** (2 * m)
 
@@ -120,6 +121,15 @@ class TestSampleRician:
         dist = stats.rice(math.sqrt(2 * k),
                           scale=math.sqrt(omega / (2 * (1 + k))))
         assert stats.kstest(h, dist.cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("size", [None, 1, 1000])
+    def test_real_parts_then_imaginary_parts(self, size):
+        got = sample_rician(0.7, 1.7, np.random.default_rng(5), size=size)
+        want = rician_reference(0.7, 1.7, np.random.default_rng(5), size or 1)
+        if size is None:
+            assert type(got) is float and got == want[0]
+        else:
+            assert got.tobytes() == want.tobytes()
 
     def test_seed_determinism(self):
         assert sample_rician(3.0, 1.0, 99) == sample_rician(3.0, 1.0, 99)

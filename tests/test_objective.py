@@ -53,7 +53,7 @@ class TestReduceCoefficients:
         g1 = channel_gain(aps[1], mt).value
 
         def harvest_term(ap):
-            d, cos_phi, _ = link_geometry(ap, mt)
+            d, cos_phi = link_geometry(ap, mt)
             return ap.power ** 2 / d ** 4 * cos_phi ** (
                 2 * lambertian_order(ap.half_angle))
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hrvlc.optimizer
 from hrvlc import (
     ReducedCoefficients,
     grid_oracle,
@@ -12,9 +13,15 @@ from hrvlc import (
     solve_iterative,
     total_rate,
 )
+from hrvlc.errors import ConvergenceError
+from hrvlc.optimizer import _stop_step
 
 from conftest import make_coeffs, random_coeffs
-from oracles import DegenerateObjective, stationary_alpha
+from oracles import (
+    DegenerateObjective,
+    solve_iterative_reference,
+    stationary_alpha,
+)
 
 INTERIOR = make_coeffs(a=3, b=1, c=0, d=4, e=0, g=1, b1=1, b2=1)
 # frozen: 1 + 1/4 - 1/(2*ln 2)
@@ -202,3 +209,117 @@ class TestGridOracle:
             res = solve_closed_form(coeffs)
             values = total_rate(coeffs, grid).total
             assert np.all(res.rate >= values - 1e-8 * abs(res.rate))
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+def batch_of(singles):
+    return ReducedCoefficients(**{
+        f.name: np.array([getattr(c, f.name) for c in singles])
+        for f in dataclasses.fields(ReducedCoefficients)})
+
+
+def mixed_instances(rng, count):
+    """Interior, alpha = 0, alpha = 1, d = 0 and A = 0 instances in turn."""
+    singles = []
+    for i in range(count):
+        kind = i % 5
+        if kind == 3:
+            singles.append(random_coeffs(rng, force="d0"))
+        elif kind == 4:
+            singles.append(random_coeffs(rng, force="a0"))
+        else:
+            c = random_coeffs(rng)
+            if kind == 1:    # a vanishing downlink: dR/dalpha < 0 at 0
+                c = dataclasses.replace(c, a=(c.b + c.c) * 1e-12)
+            elif kind == 2:  # a vanishing uplink: dR/dalpha > 0 at 1
+                c = dataclasses.replace(c, b2=c.b1 * 1e-12)
+            singles.append(c)
+    return singles
+
+
+def assert_matches_reference(res, singles, eps):
+    """Each instance of a batch result equals the one-instance reference."""
+    for i, coeffs in enumerate(singles):
+        alpha, rate, lam, mu, trace = solve_iterative_reference(coeffs, eps)
+        assert bits(res.kkt.alpha[i]) == bits(alpha)
+        assert bits(res.rate[i]) == bits(rate)
+        assert bits(res.kkt.lam[i]) == bits(lam)
+        assert bits(res.kkt.mu[i]) == bits(mu)
+        assert res.trace[i] == trace
+
+
+class TestBatchedIterative:
+    """The lockstep batch against the step-by-step one-instance reference."""
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-3, 0.3, 2.0 ** -53, 1e-16,
+                                     1e-300])
+    def test_batch_matches_reference_bitwise(self, eps):
+        singles = mixed_instances(np.random.default_rng(27), 100)
+        res = solve_iterative(batch_of(singles), eps=eps)
+        assert_matches_reference(res, singles, eps)
+        alphas = res.kkt.alpha
+        assert np.any((alphas > 0.0) & (alphas < 1.0))
+        assert np.all(alphas[1::5] == 0.0) and np.all(alphas[4::5] == 0.0)
+        assert np.all(alphas[2::5] == 1.0) and np.all(alphas[3::5] == 1.0)
+
+    def test_scalar_call_is_a_batch_of_one(self):
+        rng = np.random.default_rng(28)
+        for coeffs in mixed_instances(rng, 50):
+            res = solve_iterative(coeffs)
+            alpha, rate, lam, mu, trace = solve_iterative_reference(coeffs)
+            assert np.ndim(res.kkt.alpha) == 0 and np.ndim(res.rate) == 0
+            assert [bits(v) for v in (res.kkt.alpha, res.rate, res.kkt.lam,
+                                      res.kkt.mu)] == \
+                [bits(v) for v in (alpha, rate, lam, mu)]
+            assert res.trace == trace
+            assert res.iterations == len(trace)
+
+    @pytest.mark.parametrize("eps, steps", [
+        (2.0, 2), (0.25, 2), (0.2, 3), (1e-3, 10), (1e-9, 30),
+        (2.0 ** -30, 30), (2.0 ** -30 * (1 + 2 ** -52), 30),
+        (2.0 ** -30 * (1 - 2 ** -53), 31), (2.0 ** -53, 53)])
+    def test_every_interior_instance_stops_at_k_eps(self, eps, steps):
+        assert _stop_step(eps) == steps
+        singles = [random_coeffs(np.random.default_rng(29 + i))
+                   for i in range(40)]
+        res = solve_iterative(batch_of(singles), eps=eps)
+        interior = (res.kkt.alpha > 0.0) & (res.kkt.alpha < 1.0)
+        assert interior.any()
+        assert {len(t) for t, inside in zip(res.trace, interior)
+                if inside} == {steps}
+
+    def test_instance_whose_sign_rises_keeps_the_batch_exact(self,
+                                                             monkeypatch):
+        # e < 0 puts a pole at alpha = 0.5 where dR/dalpha jumps from below
+        # zero to above it: a boundary instance, but bisected with the rest
+        pole = make_coeffs(a=3, b=1, c=0, d=2, e=-2, g=1, b1=1, b2=1)
+        singles = [INTERIOR, pole]
+        row_calls = []
+        denominator = hrvlc.optimizer._uplink_denominator
+
+        def counted(coeffs, alpha):
+            row_calls.append(np.ndim(alpha) == 1)
+            return denominator(coeffs, alpha)
+
+        monkeypatch.setattr(hrvlc.optimizer, "_uplink_denominator", counted)
+        res = solve_iterative(batch_of(singles), eps=1e-9)
+        assert_matches_reference(res, singles, 1e-9)
+        # the grid's rising sign sends every step down the one-at-a-time path
+        assert sum(row_calls) == 30
+        row_calls.clear()
+        solve_iterative(batch_of([INTERIOR, INTERIOR]), eps=1e-9)
+        assert sum(row_calls) == 1
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_step_budget_below_k_eps_raises(self, batch):
+        singles = [INTERIOR, make_coeffs(a=0.0)]
+        coeffs = batch_of(singles) if batch else INTERIOR
+        with pytest.raises(ConvergenceError):
+            solve_iterative_reference(INTERIOR, eps=1e-9, max_iter=29)
+        with pytest.raises(ConvergenceError):
+            solve_iterative(coeffs, eps=1e-9, max_iter=29)
+        res = solve_iterative(coeffs, eps=1e-9, max_iter=30)
+        assert len(res.trace[0] if batch else res.trace) == 30
