@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, HrvlcError, MalformedCsvError
+from .errors import (ConfigValidationError, ConvergenceError, HrvlcError,
+                     MalformedCsvError)
 from .harvest_uplink import harvested_energy, rician_envelope
 from .objective import reduce_coefficients, total_rate
 from .optimizer import grid_oracle, solve_closed_form, solve_iterative
@@ -69,6 +70,12 @@ def _prepare(config_path, mt_index, seed, n_draws=None):
     scn, digest = _load(config_path)
     if not 0 <= mt_index < len(scn.mts):
         raise ValueError(f"--mt must be in [0, {len(scn.mts)})")
+    for i, ap in enumerate(scn.aps):
+        # the loader admits any angle in (0, 90) degrees, but the Lambertian
+        # order -1/log2(cos) needs a cosine below 1
+        if math.cos(ap.half_angle) == 1.0:
+            raise ConfigValidationError(f"aps[{i}].half_angle_deg",
+                                        "too small: its cosine rounds to 1")
     assoc = associate(scn, mt_index)
     mt = scn.mts[mt_index]
     if n_draws is None:
@@ -76,7 +83,29 @@ def _prepare(config_path, mt_index, seed, n_draws=None):
     else:
         h_sq = _fading_power(mt, seed, n_draws)
     coeffs = reduce_coefficients(scn, mt_index, assoc, h_sq)
+    _check_rates(coeffs, mt_index)
     return scn, digest, assoc, h_sq, coeffs
+
+
+def _check_rates(coeffs, mt_index):
+    """Refuse a terminal whose downlink or peak uplink rate is not finite.
+
+    A config with every field in range can still leave float64 behind: an
+    uplink noise product that underflows to 0, or a noise floor so small
+    that the SINR overflows, makes a rate inf or nan, and the solver routes
+    then divide by zero or disagree.  The uplink rate peaks at alpha = 0.
+    """
+    with np.errstate(all="ignore"):
+        links = (
+            ("downlink rate B_v*log2(1 + P_T*G/(N0*B_v + interference))",
+             coeffs.b1, np.divide(coeffs.a, coeffs.b + coeffs.c)),
+            ("uplink rate B_r*log2(1 + E_H*|h|^2/(T_u*N0*rf_distance"
+             "^pathloss_exp))", coeffs.b2,
+             np.divide(coeffs.d + coeffs.e, coeffs.g)))
+        for name, bandwidth, snr in links:
+            if not np.isfinite(bandwidth * np.log2(1.0 + snr)).all():
+                raise ConfigValidationError(f"mts[{mt_index}]",
+                                            f"{name} is not finite")
 
 
 def cmd_sweep(config_path, mt_index, n_points, seed, out_path):
@@ -122,8 +151,9 @@ def cmd_converge(config_path, mt_index, eps, seed, out_path):
     scn, digest, _, _, coeffs = _prepare(config_path, mt_index, seed)
     # association does not depend on B_v: swap only b = N0*B_v and b1 = B_v
     b_v = np.array(scn.bv_sweep or (scn.params.b_v,))
-    res = solve_iterative(replace(coeffs, b=scn.params.n0 * b_v, b1=b_v),
-                          eps=eps)
+    coeffs = replace(coeffs, b=scn.params.n0 * b_v, b1=b_v)
+    _check_rates(coeffs, mt_index)
+    res = solve_iterative(coeffs, eps=eps)
     rows = []
     for trace, alpha in zip(res.trace, res.kkt.alpha.tolist()):
         # boundary binding: one iteration, no bisection residual
@@ -361,7 +391,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (HrvlcError, ValueError) as exc:
+    except (HrvlcError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -35,20 +35,3 @@ def rician_envelope(k, omega, x, y):
     """
     z = (x + 1j * y) / math.sqrt(2.0)
     return math.sqrt(omega / (1.0 + k)) * np.abs(math.sqrt(k) + z)
-
-
-def sample_rician(k, omega, seed, size=None):
-    """Draw envelope samples |h| with E|h|^2 = omega from a seeded generator.
-
-    The generator gives ``size`` real parts, then as many imaginary parts,
-    for ``rician_envelope``.  ``seed`` may be an int or a numpy Generator.
-    """
-    if k < 0:
-        raise ValueError("Rician factor must be >= 0")
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
-    rng = np.random.default_rng(seed)  # a Generator passes through as is
-    n = 1 if size is None else size
-    h = rician_envelope(k, omega, rng.standard_normal(n),
-                        rng.standard_normal(n))
-    return float(h[0]) if size is None else h

@@ -5,8 +5,8 @@ The joint rate collapses to
     R(alpha) = alpha*b1*log2(1 + a/(b+c)) + b2*log2(1 + ((1-alpha)*d + e)/g)
 
 with eight nonnegative coefficients computed once per (scenario, terminal,
-fading draw).  The first and second derivatives below are the exact
-derivatives of that expression; the second is never positive, so R is
+fading draw).  dR/dalpha is the downlink factor less ``_uplink_slope``,
+and d2R/dalpha2 is ``_uplink_curvature``, which is never positive, so R is
 concave on [0, 1].
 
 Coefficients and alpha may be floats or broadcastable numpy arrays: every
@@ -83,18 +83,6 @@ def total_rate(coeffs, alpha):
         1.0 + ((1.0 - np.asarray(alpha)) * coeffs.d + coeffs.e) / coeffs.g)
     return ObjectiveEval(alpha=np.asarray(alpha, dtype=float)[()],
                          total=down + up, downlink_term=down, uplink_term=up)
-
-
-def rate_derivative(coeffs, alpha):
-    """dR/dalpha, exact."""
-    _check_alpha(alpha)
-    return downlink_log_term(coeffs) - _uplink_slope(coeffs, alpha)
-
-
-def rate_second_derivative(coeffs, alpha):
-    """d2R/dalpha2, exact; never positive."""
-    _check_alpha(alpha)
-    return _uplink_curvature(coeffs, alpha)
 
 
 def _uplink_slope(coeffs, alpha):

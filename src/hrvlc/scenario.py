@@ -1,4 +1,5 @@
-"""Room geometry, device parameters and static serving-AP association.
+"""Room geometry, device parameters, the Lambertian line-of-sight channel
+and static serving-AP association.
 
 All angles inside the package are radians; config files carry degrees and
 are converted on load.  Scenario objects are frozen dataclasses, safe for
@@ -271,6 +272,28 @@ def link_geometry(ap, mt):
     return d, cos_angle
 
 
+def _lambertian_order(half_angle):
+    """Lambertian emission order m = -1/log2(cos(half_angle))."""
+    if not 0 < half_angle < math.pi / 2:
+        raise ValueError("half_angle must be in (0, pi/2)")
+    return -1.0 / math.log2(math.cos(half_angle))
+
+
+def _concentrator_gain(n_c, fov):
+    """Optical concentrator gain n_c^2 / sin^2(fov)."""
+    if n_c < 1:
+        raise ValueError("refractive index must be >= 1")
+    if not 0 < fov <= math.pi / 2:
+        raise ValueError("fov must be in (0, pi/2]")
+    return n_c * n_c / math.sin(fov) ** 2
+
+
+def _los_gain(mt, g, m, d, cos_angle):
+    """Gain of an in-FOV link of order m; g is the concentrator gain."""
+    return ((m + 1.0) * mt.area * mt.responsivity * cos_angle ** m * cos_angle
+            * mt.filter_gain * g) / (2.0 * math.pi * d * d)
+
+
 def associate(scn, mt_index):
     """Serving AP of one MT and its link sums, in one pass over the APs.
 
@@ -279,18 +302,15 @@ def associate(scn, mt_index):
     (G = 0) adds nothing; ``k2`` sums the harvest term over the other APs
     whether inside the FOV or not.
     """
-    # local: vlc_channel imports this module
-    from .vlc_channel import _los_gain, concentrator_gain, lambertian_order
-
     mt = scn.mts[mt_index]
     cos_fov = math.cos(mt.fov)
-    g = concentrator_gain(mt.refractive_index, mt.fov)
+    g = _concentrator_gain(mt.refractive_index, mt.fov)
     best_index = None
     best_gain = 0.0
     powers, terms = [], []
     for i, ap in enumerate(scn.aps):
         d, cos_angle = link_geometry(ap, mt)
-        m = lambertian_order(ap.half_angle)
+        m = _lambertian_order(ap.half_angle)
         gain = (_los_gain(mt, g, m, d, cos_angle) if cos_angle >= cos_fov
                 else 0.0)
         if gain > best_gain:

@@ -3,10 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from hrvlc import (
+from hrvlc.objective import ReducedCoefficients
+from hrvlc.scenario import (
     MobileTerminal,
     Point3,
-    ReducedCoefficients,
     Scenario,
     SystemParams,
     VlcAp,

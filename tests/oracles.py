@@ -2,11 +2,13 @@
 
 The package optimizes the reduced objective R(alpha).  These functions
 rebuild the same quantities link by link from the scenario, so tests can
-check the reduction against them, and give the Rician envelope density that
-the sampler is checked against, and the unconstrained stationary point that
-the solvers clamp.  The cell-by-cell CSV writer and the point-by-point chart
-renderer are the references that the CLI's row-template writer and its
-array-pass chart must match byte for byte.  The draw-by-draw fading power
+check the reduction against them; give the checked first and second
+derivatives of R over the solvers' kernels; give the Rician envelope
+density and a reference sampler that the fading draws are checked against;
+and give the unconstrained stationary point that the solvers clamp.  The
+cell-by-cell CSV writer and the point-by-point chart renderer are the
+references that the CLI's row-template writer and its array-pass chart
+must match byte for byte.  The draw-by-draw fading power
 and the one-instance bisection are the references that the CLI's batched
 fading draws and the lockstep batched bisection must match bit for bit.
 """
@@ -18,20 +20,53 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i0e
 
-from hrvlc import (
-    channel_gain,
-    harvested_energy,
-    lambertian_order,
-    link_geometry,
-)
+from hrvlc import harvested_energy, total_rate
 from hrvlc.errors import ConvergenceError, HrvlcError, MalformedCsvError
+from hrvlc.harvest_uplink import _check_alpha
 from hrvlc.objective import (
+    _uplink_curvature,
+    _uplink_slope,
     downlink_log_term,
-    rate_derivative,
-    rate_second_derivative,
-    total_rate,
 )
 from hrvlc.optimizer import _root
+from hrvlc.scenario import (
+    _concentrator_gain,
+    _lambertian_order,
+    _los_gain,
+    link_geometry,
+)
+
+
+@dataclass(frozen=True)
+class ChannelGain:
+    value: float
+    in_fov: bool
+
+
+def channel_gain(ap, mt):
+    """LOS Lambertian gain of one AP-to-MT link; zero outside the FOV.
+
+    The gain that ``associate`` computes for each AP in its one pass, link
+    by link from the same kernels, so its sums can be checked bit for bit.
+    """
+    d, cos_angle = link_geometry(ap, mt)
+    if cos_angle < math.cos(mt.fov):
+        return ChannelGain(0.0, False)
+    g = _concentrator_gain(mt.refractive_index, mt.fov)
+    m = _lambertian_order(ap.half_angle)
+    return ChannelGain(_los_gain(mt, g, m, d, cos_angle), True)
+
+
+def rate_derivative(coeffs, alpha):
+    """dR/dalpha from the solvers' unchecked kernel, alpha checked first."""
+    _check_alpha(alpha)
+    return downlink_log_term(coeffs) - _uplink_slope(coeffs, alpha)
+
+
+def rate_second_derivative(coeffs, alpha):
+    """d2R/dalpha2 from the solvers' unchecked kernel; never positive."""
+    _check_alpha(alpha)
+    return _uplink_curvature(coeffs, alpha)
 
 
 @dataclass(frozen=True)
@@ -98,7 +133,7 @@ def harvest_constants(scn, mt_index, serving_index):
     for k, ap in enumerate(scn.aps):
         d, cos_phi = link_geometry(ap, mt)
         term = ap.power ** 2 / d ** 4 * cos_phi ** (
-            2 * lambertian_order(ap.half_angle))
+            2 * _lambertian_order(ap.half_angle))
         if k == serving_index:
             k1 = scale * term
         else:

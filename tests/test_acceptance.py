@@ -15,19 +15,29 @@ from scipy import integrate, stats
 from hrvlc import (
     associate,
     harvested_energy,
-    rate_derivative,
-    rate_second_derivative,
     reduce_coefficients,
-    sample_rician,
     solve_closed_form,
     solve_iterative,
     total_rate,
 )
-from hrvlc.cli import cmd_converge, cmd_montecarlo, cmd_solve, cmd_sweep
+from hrvlc.cli import (
+    _fading_power,
+    cmd_converge,
+    cmd_montecarlo,
+    cmd_solve,
+    cmd_sweep,
+)
 from hrvlc.scenario import MobileTerminal, Point3, Scenario, SystemParams, VlcAp
 
-from conftest import CONFIG_DIR, random_coeffs
-from oracles import downlink_rate, rician_pdf, uplink_budget
+from conftest import CONFIG_DIR, make_mt, random_coeffs
+from oracles import (
+    downlink_rate,
+    rate_derivative,
+    rate_second_derivative,
+    rician_pdf,
+    rician_reference,
+    uplink_budget,
+)
 
 TWO_AP = str(CONFIG_DIR / "two_ap_room.json")
 SINGLE_AP = str(CONFIG_DIR / "single_ap_room.json")
@@ -191,7 +201,8 @@ def test_criterion_6_physics_consistency():
         while checked < 100:
             scn = random_scenario(rng)
             consts = associate(scn, 0)
-            h = sample_rician(scn.mts[0].rician_k, scn.mts[0].rician_omega, rng)
+            h = rician_reference(scn.mts[0].rician_k, scn.mts[0].rician_omega,
+                                 rng, 1)[0]
             h_sq = h * h
             coeffs = reduce_coefficients(scn, 0, consts, h_sq)
             r_d = downlink_rate(scn, 0, consts.serving).rate
@@ -219,12 +230,16 @@ def test_criterion_7_rician_channel():
             assert err < 1e-8
             assert abs(total - 1.0) <= 1e-8
         k, omega = 3.0, 1.0
-        samples = sample_rician(k, omega, np.random.default_rng(77),
-                                size=10 ** 5)
         dist = stats.rice(math.sqrt(2 * k),
                           scale=math.sqrt(omega / (2 * (1 + k))))
+        samples = rician_reference(k, omega, np.random.default_rng(77),
+                                   10 ** 5)
         assert stats.kstest(samples, dist.cdf).pvalue > 0.01
-        big = sample_rician(2.0, 1.7, np.random.default_rng(78), size=10 ** 6)
+        # the stream montecarlo writes: draw i from its own (seed, i) generator
+        mt = make_mt(rician_k=k, rician_omega=omega)
+        drawn = np.sqrt(_fading_power(mt, 77, 10 ** 5))
+        assert stats.kstest(drawn, dist.cdf).pvalue > 0.01
+        big = rician_reference(2.0, 1.7, np.random.default_rng(78), 10 ** 6)
         assert abs(np.mean(big * big) - 1.7) <= 0.01 * 1.7
         assert time.perf_counter() - start < 30.0
 

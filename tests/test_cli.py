@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ import hrvlc.cli
 import hrvlc.harvest_uplink
 import hrvlc.optimizer
 import hrvlc.scenario
-import hrvlc.vlc_channel
 from hrvlc import load_scenario
 from hrvlc.cli import (
     build_parser,
@@ -346,6 +346,76 @@ class TestMainExitCodes:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not out.exists()
 
+    # Each field in range, but past what float64 carries, on the single-AP
+    # room: a half angle whose cosine rounds to 1; an uplink noise product
+    # T_u*N0*d^n that underflows to 0; a noise floor so far below the signal
+    # that the downlink SINR overflows.
+    @pytest.mark.parametrize("patch, error", [
+        pytest.param({"aps": {"half_angle_deg": 1e-7}},
+                     "aps[0].half_angle_deg: too small: its cosine rounds "
+                     "to 1", id="half-angle"),
+        pytest.param({"params": {"N0": 1e-300, "T_u": 1e-30}},
+                     "mts[0]: uplink rate B_r*log2(1 + E_H*|h|^2/(T_u*N0*"
+                     "rf_distance^pathloss_exp)) is not finite",
+                     id="uplink-noise-underflow"),
+        pytest.param({"params": {"N0": 1e-320}},
+                     "mts[0]: downlink rate B_v*log2(1 + P_T*G/(N0*B_v + "
+                     "interference)) is not finite", id="sinr-overflow"),
+    ])
+    @pytest.mark.parametrize("route", [
+        ["solve", "--method", "closed"], ["solve", "--method", "iter"],
+        ["solve", "--method", "grid"], ["sweep"], ["converge"],
+        ["montecarlo"]], ids=["solve-closed", "solve-iter", "solve-grid",
+                              "sweep", "converge", "montecarlo"])
+    def test_degenerate_config_is_one(self, tmp_path, capsys, patch, error,
+                                      route):
+        doc = json.loads(Path(SINGLE_AP).read_text(encoding="utf-8"))
+        for section, fields in patch.items():
+            (doc[section][0] if section == "aps" else doc[section]).update(
+                fields)
+        cfg = tmp_path / "degenerate.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning either
+            code = main(route + ["--config", str(cfg), "--mt", "0",
+                                 "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_converge_bandwidth_past_the_floats_is_one(self, tmp_path,
+                                                      capsys):
+        # N0*B_v underflows to 0 at the least float, and with no interferer
+        # the SINR of that block is inf; the config's own B_v is fine
+        doc = json.loads(Path(SINGLE_AP).read_text(encoding="utf-8"))
+        doc["sweep"] = {"B_v": [1e7, 5e-324]}
+        cfg = tmp_path / "tiny_bandwidth.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["converge", "--config", str(cfg), "--mt", "0",
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: mts[0]: downlink rate B_v*log2(1 + P_T*G/(N0*B_v + "
+            "interference)) is not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["sweep", "--points"],
+                                      ["montecarlo", "--draws"]],
+                             ids=["points", "draws"])
+    def test_oversized_array_is_one(self, tmp_path, capsys, argv):
+        # 10**15 float64 take 8 PB, past the address space: refused at once
+        out = tmp_path / "x.csv"
+        assert main(argv + [str(10 ** 15), "--config", SINGLE_AP, "--mt", "0",
+                            "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
 
 class TestCsvWriter:
     """The row-template writer writes the reference writer's bytes."""
@@ -438,8 +508,8 @@ class TestReusedParser:
 class TestOnePassPerCall:
     """Each call parses its config once and evaluates each AP link once.
 
-    It also draws its fades through one envelope pass, never through
-    ``sample_rician``, and bisects in at most one ``solve_iterative`` call.
+    It also draws its fades through one envelope pass and bisects in at
+    most one ``solve_iterative`` call.
     """
 
     @pytest.fixture
@@ -463,9 +533,8 @@ class TestOnePassPerCall:
             "montecarlo"])
     def test_counts_and_digest(self, tmp_path, monkeypatch, three_ap, run,
                                bisections):
-        calls = {"link_geometry": 0, "lambertian_order": 0, "loads": 0,
-                 "rician_envelope": 0, "sample_rician": 0,
-                 "solve_iterative": 0}
+        calls = {"link_geometry": 0, "_lambertian_order": 0, "loads": 0,
+                 "rician_envelope": 0, "solve_iterative": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -475,9 +544,8 @@ class TestOnePassPerCall:
 
         # replace every binding, so a module-level import is counted too
         for fn in (hrvlc.scenario.link_geometry,
-                   hrvlc.vlc_channel.lambertian_order,
+                   hrvlc.scenario._lambertian_order,
                    hrvlc.harvest_uplink.rician_envelope,
-                   hrvlc.harvest_uplink.sample_rician,
                    hrvlc.optimizer.solve_iterative):
             for mod in list(sys.modules.values()):
                 if not getattr(mod, "__name__", "").startswith("hrvlc"):
@@ -488,8 +556,8 @@ class TestOnePassPerCall:
                                             counted(fn.__name__, fn))
         monkeypatch.setattr(json, "loads", counted("loads", json.loads))
         report = run(three_ap, str(tmp_path / "out.csv"))
-        assert calls == {"link_geometry": 3, "lambertian_order": 3, "loads": 1,
-                         "rician_envelope": 1, "sample_rician": 0,
+        assert calls == {"link_geometry": 3, "_lambertian_order": 3,
+                         "loads": 1, "rician_envelope": 1,
                          "solve_iterative": bisections}
         with open(three_ap, "rb") as fh:
             assert report.digest == hashlib.sha256(fh.read()).hexdigest()

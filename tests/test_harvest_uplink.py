@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from hrvlc import (
-    associate,
-    harvested_energy,
-    lambertian_order,
-    link_geometry,
-    sample_rician,
-)
+from hrvlc import associate, harvested_energy, rician_envelope
+from hrvlc.cli import _fading_power
+from hrvlc.scenario import _lambertian_order, link_geometry
 
 from conftest import make_ap, make_mt, make_params, make_scenario
 from oracles import (
@@ -52,7 +48,7 @@ class TestHarvestConstants:
         # oracle: recompute both coefficients term by term from raw geometry
         def term(ap):
             d, cos_phi = link_geometry(ap, mt)
-            m = lambertian_order(ap.half_angle)
+            m = _lambertian_order(ap.half_angle)
             return ap.power ** 2 / d ** 4 * cos_phi ** (2 * m)
 
         scale = mt.conv_coeff * params.t_d * mt.oe_efficiency
@@ -106,17 +102,23 @@ class TestRicianPdf:
 
 
 class TestSampleRician:
+    """The Rician law of the reference sampler and of the CLI's stream.
+
+    ``rician_reference`` takes n real parts, then n imaginary parts, from one
+    generator; the package keeps only the envelope kernel it maps them with.
+    """
+
     def test_large_k_is_deterministic_los(self):
-        h = sample_rician(1e12, 4.0, 123)
+        h = rician_reference(1e12, 4.0, np.random.default_rng(123), 1)[0]
         assert h == pytest.approx(2.0, abs=1e-3)
 
     def test_second_moment_matches_omega(self):
-        h = sample_rician(3.0, 2.5, np.random.default_rng(42), size=10 ** 6)
+        h = rician_reference(3.0, 2.5, np.random.default_rng(42), 10 ** 6)
         assert np.mean(h * h) == pytest.approx(2.5, rel=0.01)
 
     def test_matches_pdf_by_kolmogorov_smirnov(self):
         k, omega = 3.0, 1.0
-        h = sample_rician(k, omega, np.random.default_rng(7), size=10 ** 5)
+        h = rician_reference(k, omega, np.random.default_rng(7), 10 ** 5)
         # oracle: scipy's Rice law with b = sqrt(2K), scale = sqrt(omega/(2(1+K)))
         dist = stats.rice(math.sqrt(2 * k),
                           scale=math.sqrt(omega / (2 * (1 + k))))
@@ -124,18 +126,25 @@ class TestSampleRician:
 
     @pytest.mark.parametrize("size", [None, 1, 1000])
     def test_real_parts_then_imaginary_parts(self, size):
-        got = sample_rician(0.7, 1.7, np.random.default_rng(5), size=size)
+        # the kernel on those parts, or on one scalar pair, is the reference
+        rng = np.random.default_rng(5)
+        got = rician_envelope(0.7, 1.7, rng.standard_normal(size),
+                              rng.standard_normal(size))
         want = rician_reference(0.7, 1.7, np.random.default_rng(5), size or 1)
         if size is None:
-            assert type(got) is float and got == want[0]
+            assert np.ndim(got) == 0 and got == want[0]
         else:
             assert got.tobytes() == want.tobytes()
 
     def test_seed_determinism(self):
-        assert sample_rician(3.0, 1.0, 99) == sample_rician(3.0, 1.0, 99)
-        a = sample_rician(3.0, 1.0, np.random.default_rng(5), size=10)
-        b = sample_rician(3.0, 1.0, np.random.default_rng(5), size=10)
+        a = rician_reference(3.0, 1.0, np.random.default_rng(5), 10)
+        b = rician_reference(3.0, 1.0, np.random.default_rng(5), 10)
         assert np.array_equal(a, b)
+        # the CLI's draw i depends only on (seed, i)
+        mt = make_mt(rician_k=3.0, rician_omega=1.0)
+        longer = _fading_power(mt, 99, 10)
+        assert np.array_equal(_fading_power(mt, 99, 10), longer)
+        assert np.array_equal(_fading_power(mt, 99, 4), longer[:4])
 
 
 class TestUplinkSnrAndRate:

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrvlc import (
-    associate,
-    channel_gain,
-    lambertian_order,
-    link_geometry,
-    rate_derivative,
-    rate_second_derivative,
-    reduce_coefficients,
-    total_rate,
-)
+from hrvlc import associate, reduce_coefficients, total_rate
+from hrvlc.scenario import _lambertian_order, link_geometry
 
 from conftest import make_ap, make_coeffs, make_mt, make_scenario, random_coeffs
-from oracles import downlink_rate, uplink_budget
+from oracles import (
+    channel_gain,
+    downlink_rate,
+    rate_derivative,
+    rate_second_derivative,
+    uplink_budget,
+)
 
 LN2 = math.log(2)
 
@@ -55,7 +53,7 @@ class TestReduceCoefficients:
         def harvest_term(ap):
             d, cos_phi = link_geometry(ap, mt)
             return ap.power ** 2 / d ** 4 * cos_phi ** (
-                2 * lambertian_order(ap.half_angle))
+                2 * _lambertian_order(ap.half_angle))
 
         scale = mt.conv_coeff * p.t_d * mt.oe_efficiency
         assert assoc.serving == 0

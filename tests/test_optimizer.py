@@ -5,20 +5,15 @@ import numpy as np
 import pytest
 
 import hrvlc.optimizer
-from hrvlc import (
-    ReducedCoefficients,
-    grid_oracle,
-    rate_derivative,
-    solve_closed_form,
-    solve_iterative,
-    total_rate,
-)
+from hrvlc import grid_oracle, solve_closed_form, solve_iterative, total_rate
 from hrvlc.errors import ConvergenceError
+from hrvlc.objective import ReducedCoefficients
 from hrvlc.optimizer import _stop_step
 
 from conftest import make_coeffs, random_coeffs
 from oracles import (
     DegenerateObjective,
+    rate_derivative,
     solve_iterative_reference,
     stationary_alpha,
 )

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hrvlc import associate, lambertian_order, link_geometry, load_scenario
+from hrvlc import associate, load_scenario
 from hrvlc.errors import (
     ConfigParseError,
     ConfigValidationError,
     GeometryError,
     NoCoverageError,
 )
+from hrvlc.scenario import _lambertian_order, link_geometry
 
 from conftest import make_ap, make_mt, make_scenario
+from oracles import channel_gain
 
 MINIMAL = {
     "room": {"x": 4.0, "y": 4.0, "z": 3.0},
@@ -167,8 +169,6 @@ class TestAssociate:
             associate(scn, 0)
 
     def test_returns_argmax_gain(self):
-        from hrvlc import channel_gain
-
         scn = make_scenario(
             aps=[make_ap(0.5, 0.5, 3), make_ap(2, 2, 3), make_ap(4, 4, 3)],
             mts=[make_mt(2.2, 1.9, 1)])
@@ -177,8 +177,6 @@ class TestAssociate:
         assert gains[chosen] == max(gains)
 
     def test_link_sums_match_channel_gain_bitwise(self):
-        from hrvlc import channel_gain
-
         scn = make_scenario(
             aps=[make_ap(0.5, 0.5, 3), make_ap(2, 2, 3), make_ap(4.8, 4.8, 3)],
             mts=[make_mt(2.2, 1.9, 1, fov=math.radians(55))])
@@ -200,7 +198,7 @@ class TestAssociate:
         assoc = associate(scn, 0)
         d, cos_phi = link_geometry(far, mt)
         term = far.power ** 2 / d ** 4 * cos_phi ** (
-            2 * lambertian_order(far.half_angle))
+            2 * _lambertian_order(far.half_angle))
         assert cos_phi < math.cos(mt.fov)
         assert assoc.serving == 1
         assert assoc.c == 0.0

@@ -3,44 +3,44 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from hrvlc import channel_gain, concentrator_gain, lambertian_order
+from hrvlc.scenario import _concentrator_gain, _lambertian_order
 
 from conftest import make_ap, make_mt, make_params, make_scenario
-from oracles import downlink_rate
+from oracles import channel_gain, downlink_rate
 
 
 class TestLambertianOrder:
     def test_60_degrees_is_order_one(self):
-        assert lambertian_order(math.radians(60)) == pytest.approx(1.0)
+        assert _lambertian_order(math.radians(60)) == pytest.approx(1.0)
 
     def test_45_degrees_is_order_two(self):
-        assert lambertian_order(math.radians(45)) == pytest.approx(2.0)
+        assert _lambertian_order(math.radians(45)) == pytest.approx(2.0)
 
     def test_30_degrees_matches_direct_evaluation(self):
         # frozen from -1/log2(cos(30 deg))
-        assert lambertian_order(math.radians(30)) == pytest.approx(
+        assert _lambertian_order(math.radians(30)) == pytest.approx(
             4.818841679306837, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [0.0, math.pi / 2, -0.1, 2.0])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
-            lambertian_order(bad)
+            _lambertian_order(bad)
 
 
 class TestConcentratorGain:
     def test_unity_sine(self):
-        assert concentrator_gain(1.5, math.radians(90)) == pytest.approx(2.25)
+        assert _concentrator_gain(1.5, math.radians(90)) == pytest.approx(2.25)
 
     def test_identity(self):
-        assert concentrator_gain(1.0, math.radians(90)) == pytest.approx(1.0)
+        assert _concentrator_gain(1.0, math.radians(90)) == pytest.approx(1.0)
 
     def test_60_degree_fov(self):
-        assert concentrator_gain(1.5, math.radians(60)) == pytest.approx(3.0)
+        assert _concentrator_gain(1.5, math.radians(60)) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("n_c,fov", [(0.9, 1.0), (1.5, 0.0), (1.5, 2.0)])
     def test_domain_errors(self, n_c, fov):
         with pytest.raises(ValueError):
-            concentrator_gain(n_c, fov)
+            _concentrator_gain(n_c, fov)
 
 
 class TestChannelGain:
