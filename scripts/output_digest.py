@@ -1,6 +1,6 @@
 """One sha256 over the CLI's exit codes and output bytes on a fixed matrix.
 
-    python3 scripts/output_digest.py --src PATH
+    python3 scripts/output_digest.py --src PATH [--expect HEX]
 
 PATH is a checkout of this repository: its ``src/hrvlc`` is the code that
 runs. The inputs come from the checkout holding this script: both shipped
@@ -13,7 +13,8 @@ and ``converge`` with eps 1e-300, past the bits of its midpoints. Every
 sweep and eps 1e-9 converge CSV is then charted. Two checkouts that write
 the same bytes print the same digest, so a change that promises identical
 output is checked by running this once with its parent as PATH and once
-with itself.
+with itself. With ``--expect HEX`` the script exits 1 when the digest is
+not HEX, so CI fails on any output byte a change has not declared.
 """
 
 import argparse
@@ -85,6 +86,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True,
                         help="checkout whose src/hrvlc is run")
+    parser.add_argument("--expect", metavar="HEX",
+                        help="exit 1 unless the digest is HEX")
     args = parser.parse_args()
     cli = _import_cli(args.src)
 
@@ -115,6 +118,8 @@ def main():
     print(f"{sum(codes.values())} calls, exit codes "
           f"{dict(sorted(codes.items()))}", file=sys.stderr)
     print(digest.hexdigest())
+    if args.expect is not None and digest.hexdigest() != args.expect:
+        sys.exit(f"digest differs from the expected {args.expect}")
 
 
 if __name__ == "__main__":

@@ -70,12 +70,6 @@ def _prepare(config_path, mt_index, seed, n_draws=None):
     scn, digest = _load(config_path)
     if not 0 <= mt_index < len(scn.mts):
         raise ValueError(f"--mt must be in [0, {len(scn.mts)})")
-    for i, ap in enumerate(scn.aps):
-        # the loader admits any angle in (0, 90) degrees, but the Lambertian
-        # order -1/log2(cos) needs a cosine below 1
-        if math.cos(ap.half_angle) == 1.0:
-            raise ConfigValidationError(f"aps[{i}].half_angle_deg",
-                                        "too small: its cosine rounds to 1")
     assoc = associate(scn, mt_index)
     mt = scn.mts[mt_index]
     if n_draws is None:

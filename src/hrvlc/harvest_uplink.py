@@ -5,14 +5,31 @@ and energy harvesting (the remaining ``1 - alpha``).  The harvested energy
 powers the RF uplink, whose envelope fades with a Rician law.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 
+def _libm(fn, x, *y):
+    """The math module's ``fn(x)`` or ``fn(x, y)``, element by element.
+
+    numpy's SIMD pow, log2 and cos can differ from libm in the last ulp, and
+    libm's values fix the CSV bytes of every command.  ``x`` gives the shape:
+    a scalar gives a float, and ``y`` is a scalar or an array shaped as x.
+    """
+    if not getattr(x, "ndim", 0):
+        return fn(x, *y)
+    columns = [x.ravel().tolist()] + [
+        other.ravel().tolist() if getattr(other, "ndim", 0)
+        else itertools.repeat(other) for other in y]
+    return np.fromiter(map(fn, *columns), float, x.size).reshape(x.shape)
+
+
 def _harvest_term(power, d, cos_phi, m):
-    """P_T^2/d^4 * cos^(2m) of one AP link of Lambertian order m."""
-    return (power ** 2 / d ** 4) * cos_phi ** (2.0 * m)
+    """P_T^2/d^4 * cos^(2m) of AP links of Lambertian order m, element-wise."""
+    return (_libm(math.pow, power, 2.0) / _libm(math.pow, d, 4.0)
+            * _libm(math.pow, cos_phi, 2.0 * m))
 
 
 def harvested_energy(consts, alpha):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harvest_uplink import _check_alpha
+from .harvest_uplink import _check_alpha, _libm
 
 LN2 = math.log(2.0)
 
@@ -64,15 +64,7 @@ def reduce_coefficients(scn, mt_index, assoc, h_sq):
 
 def downlink_log_term(coeffs):
     """The alpha-independent downlink factor b1*log2(1 + a/(b+c))."""
-    return coeffs.b1 * _log2(1.0 + coeffs.a / (coeffs.b + coeffs.c))
-
-
-def _log2(x):
-    # libm's log2 element by element, which fixes the CSV bytes of every
-    # command; numpy's SIMD log2 can differ from it in the last ulp
-    if np.ndim(x) == 0:
-        return math.log2(x)
-    return np.vectorize(math.log2, otypes=[float])(x)
+    return coeffs.b1 * _libm(math.log2, 1.0 + coeffs.a / (coeffs.b + coeffs.c))
 
 
 def total_rate(coeffs, alpha):

@@ -2,13 +2,19 @@
 and static serving-AP association.
 
 All angles inside the package are radians; config files carry degrees and
-are converted on load.  Scenario objects are frozen dataclasses, safe for
-concurrent read access.
+are converted on load.  Scenario objects are frozen dataclasses whose
+arrays are read-only, safe for concurrent read access.
 """
 
+import functools
+import itertools
 import json
 import math
-from dataclasses import dataclass
+import operator
+import sys
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     ConfigParseError,
@@ -16,7 +22,7 @@ from .errors import (
     GeometryError,
     NoCoverageError,
 )
-from .harvest_uplink import _harvest_term
+from .harvest_uplink import _harvest_term, _libm
 
 
 @dataclass(frozen=True)
@@ -32,13 +38,31 @@ class Point3:
             raise ValueError("z must be >= 0")
 
 
-@dataclass(frozen=True)
-class VlcAp:
-    """Ceiling LED luminaire acting as a downlink access point."""
+@dataclass(frozen=True, eq=False)
+class ApTable:
+    """Ceiling LED luminaires acting as downlink access points, one a row.
 
-    position: Point3
-    power: float          # optical transmit power [W]
-    half_angle: float     # half-intensity semi-angle [rad]
+    The columns are copied into read-only float arrays, and the Lambertian
+    order ``m`` is worked out once from ``half_angle``; a half angle whose
+    cosine rounds to 1 has no finite order and is refused.
+    """
+
+    position: np.ndarray    # (n, 3) coordinates [m]
+    power: np.ndarray       # optical transmit power [W]
+    half_angle: np.ndarray  # half-intensity semi-angle [rad]
+    m: np.ndarray = field(init=False)  # Lambertian emission order
+
+    def __post_init__(self):
+        position = np.array(self.position, dtype=float).reshape(-1, 3)
+        power = np.array(self.power, dtype=float)
+        half_angle = np.array(self.half_angle, dtype=float)
+        if not position.shape[:1] == power.shape == half_angle.shape:
+            raise ValueError("AP columns must have one row per AP")
+        m = _lambertian_order(half_angle)
+        for name, column in (("position", position), ("power", power),
+                             ("half_angle", half_angle), ("m", m)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
 
 @dataclass(frozen=True)
@@ -82,7 +106,7 @@ class Association:
 @dataclass(frozen=True)
 class Scenario:
     room: tuple              # (x, y, z) extents [m]
-    aps: tuple               # VlcAp, ...
+    aps: ApTable
     mts: tuple               # MobileTerminal, ...
     params: SystemParams
     bv_sweep: tuple = ()     # optional VLC bandwidths for convergence studies
@@ -139,6 +163,15 @@ _MT = {"pos": None} | _table(
     ("rician_omega", "rician_omega", "> 0"),
     ("rf_distance", "rf_distance", "> 0"),
 )
+
+
+# The array checks read an AP's fields in this order, and bound its x, y,
+# z, P_T and half_angle_deg from below by _AP_LO and from above by the room
+# and _AP_HI.  The bounds are finite, the largest float standing in for an
+# unbounded P_T, so the range test refuses inf too; nan fails any bound.
+_AP_FIELDS = operator.itemgetter("pos", "P_T", "half_angle_deg")
+_AP_LO = (0.0, 0.0, 0.0, _AP["P_T"][1], _AP["half_angle_deg"][1])
+_AP_HI = (min(_AP["P_T"][2], sys.float_info.max), _AP["half_angle_deg"][2])
 
 
 def _invalid(section, index, suffix, message):
@@ -200,13 +233,49 @@ def _entries(entries, table, section, room):
             for i, entry in enumerate(entries)]
 
 
+def _ap_table(entries, room):
+    """ApTable of the ``aps`` list, whose checks run as array passes.
+
+    They are the checks of ``_fields``: key sets, number types, then each
+    column's range, finiteness included.  Only when one fails does the row
+    walker run, and it names the first bad AP.
+    """
+    cells = None
+    try:
+        pos, power, half_angle = zip(*map(_AP_FIELDS, entries))
+    except (KeyError, TypeError, ValueError):
+        pass  # not a non-empty list of objects with the AP's keys
+    else:
+        if (set(map(len, entries)) == {3} and set(map(type, pos)) == {list}
+                and set(map(len, pos)) == {3}):
+            columns = (*zip(*pos), power, half_angle)
+            if set(map(type, itertools.chain(*columns))) == {float}:
+                cells = np.fromiter(itertools.chain(*columns), float,
+                                    5 * len(power)).reshape(5, -1)
+                # each row's least and greatest value in range; the
+                # reductions carry a nan through, and it fails both tests
+                bounds = zip(_AP_LO, np.minimum.reduce(cells, 1).tolist(),
+                             np.maximum.reduce(cells, 1).tolist(),
+                             (*room, *_AP_HI))
+                if not all(lo <= least and most <= hi
+                           for lo, least, most, hi in bounds):
+                    cells = None
+    if cells is None:
+        _entries(entries, _AP, "aps", room)  # raises at the first bad AP
+    # an angle that converts to 0 radians keeps the least positive one, so
+    # it is refused as too small, as any angle whose cosine rounds to 1
+    half_angle = np.maximum(np.radians(cells[4]), 5e-324)
+    return ApTable(cells[:3].T, cells[3], half_angle)
+
+
 def load_scenario(config_text):
     """Parse and validate a JSON scenario document.
 
     Raises ConfigParseError on malformed or too deeply nested JSON and
     ConfigValidationError (with the dotted field path) on the first
     invariant violation: sections in the order room, params, aps, mts,
-    sweep, each entry's fields in the order of its table above.
+    sweep, each entry's fields in the order of its table above.  The APs'
+    half angles are checked against their cosine after every AP's fields.
     """
     try:
         # an integer is read as the float nearest it, so one too large for a
@@ -222,18 +291,18 @@ def load_scenario(config_text):
 
     room = tuple(_fields(doc["room"], _ROOM, "room").values())
     params = SystemParams(**_fields(doc["params"], _PARAMS, "params"))
-    aps = tuple(VlcAp(**kw) for kw in _entries(doc["aps"], _AP, "aps", room))
+    aps = _ap_table(doc["aps"], room)
     mts = tuple(MobileTerminal(**kw)
                 for kw in _entries(doc["mts"], _MT, "mts", room))
 
     # every AP above the highest MT; name the first MT a low AP fails
     top = max(mt.position.z for mt in mts)
-    for i, ap in enumerate(aps):
-        if ap.position.z <= top:
-            j = next(j for j, mt in enumerate(mts)
-                     if mt.position.z >= ap.position.z)
-            raise ConfigValidationError(f"aps[{i}].pos[2]",
-                                        f"AP must be above MT mts[{j}]")
+    if np.minimum.reduce(aps.position[:, 2]) <= top:
+        i = int(np.argmax(aps.position[:, 2] <= top))
+        z = aps.position[i, 2]
+        j = next(j for j, mt in enumerate(mts) if mt.position.z >= z)
+        raise ConfigValidationError(f"aps[{i}].pos[2]",
+                                    f"AP must be above MT mts[{j}]")
 
     sweep = doc.get("sweep", {})
     _keys(sweep, {"B_v"}, "sweep")
@@ -253,30 +322,43 @@ def load_scenario(config_text):
                     bv_sweep=bv_sweep)
 
 
-def link_geometry(ap, mt):
-    """Distance and the irradiance/incidence cosine of an AP-to-MT link.
+def link_geometry(position, mt):
+    """Distance and the irradiance/incidence cosine of AP-to-MT links.
 
-    APs point straight down and the photodiode faces straight up, so the
-    irradiance and incidence angles coincide and their one cosine is the
-    vertical drop over the Euclidean distance.
+    ``position`` is one AP's (x, y, z) or an (n, 3) array of them; one link
+    is a batch of one.  APs point straight down and the photodiode faces
+    straight up, so the irradiance and incidence angles coincide and their
+    one cosine is the vertical drop over the Euclidean distance.  A bad
+    link raises for the first one in AP order.
     """
-    dx = ap.position.x - mt.position.x
-    dy = ap.position.y - mt.position.y
-    dz = ap.position.z - mt.position.z
-    d = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if d == 0:
-        raise GeometryError("AP and MT are colocated (zero link distance)")
-    if dz <= 0:
+    diff = np.subtract(position, (mt.position.x, mt.position.y,
+                                  mt.position.z))
+    sq = diff * diff
+    d = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+    dz = diff[..., 2]
+    linked = np.minimum(d, dz) > 0
+    if not linked.all():
+        if np.ravel(d)[np.argmin(linked)] == 0:
+            raise GeometryError("AP and MT are colocated (zero link distance)")
         raise GeometryError("AP must be strictly above the MT plane")
-    cos_angle = dz / d
-    return d, cos_angle
+    return d, dz / d
 
 
 def _lambertian_order(half_angle):
-    """Lambertian emission order m = -1/log2(cos(half_angle))."""
-    if not 0 < half_angle < math.pi / 2:
+    """Lambertian order m = -1/log2(cos(half_angle)) of each AP's half angle.
+
+    An angle whose cosine rounds to 1 has no finite order: the first such AP
+    is named in a ConfigValidationError.
+    """
+    half_angle = np.asarray(half_angle, dtype=float)
+    if not all(0 < h < math.pi / 2 for h in half_angle.ravel().tolist()):
         raise ValueError("half_angle must be in (0, pi/2)")
-    return -1.0 / math.log2(math.cos(half_angle))
+    log_cos = np.asarray(_libm(math.log2, _libm(math.cos, half_angle)))
+    if not log_cos.all():
+        i = np.flatnonzero(log_cos == 0)[0]
+        raise ConfigValidationError(f"aps[{i}].half_angle_deg",
+                                    "too small: its cosine rounds to 1")
+    return -1.0 / log_cos
 
 
 def _concentrator_gain(n_c, fov):
@@ -289,43 +371,49 @@ def _concentrator_gain(n_c, fov):
 
 
 def _los_gain(mt, g, m, d, cos_angle):
-    """Gain of an in-FOV link of order m; g is the concentrator gain."""
-    return ((m + 1.0) * mt.area * mt.responsivity * cos_angle ** m * cos_angle
-            * mt.filter_gain * g) / (2.0 * math.pi * d * d)
+    """Gains of links of order m, as inside the FOV; g is the concentrator
+    gain."""
+    return ((m + 1.0) * mt.area * mt.responsivity
+            * _libm(math.pow, cos_angle, m) * cos_angle * mt.filter_gain * g
+            ) / (2.0 * math.pi * d * d)
+
+
+def _sum_others(values, skip):
+    # every value but values[skip], left to right from 0, as sum() adds
+    # before Python 3.12 (which compensates), so the link sums do not depend
+    # on the Python version; a total less values[skip] rounds differently
+    return functools.reduce(operator.add, values[:skip] + values[skip + 1:], 0)
 
 
 def associate(scn, mt_index):
-    """Serving AP of one MT and its link sums, in one pass over the APs.
+    """Serving AP of one MT and its link sums, in one array pass over the APs.
 
     The serving AP has the strongest in-FOV channel gain, ties to the lowest
     index.  ``c`` sums P_T*G over the other APs, so an AP outside the FOV
     (G = 0) adds nothing; ``k2`` sums the harvest term over the other APs
-    whether inside the FOV or not.
+    whether inside the FOV or not.  Both sums run in AP order.
     """
     mt = scn.mts[mt_index]
-    cos_fov = math.cos(mt.fov)
+    aps = scn.aps
     g = _concentrator_gain(mt.refractive_index, mt.fov)
-    best_index = None
-    best_gain = 0.0
-    powers, terms = [], []
-    for i, ap in enumerate(scn.aps):
-        d, cos_angle = link_geometry(ap, mt)
-        m = _lambertian_order(ap.half_angle)
-        gain = (_los_gain(mt, g, m, d, cos_angle) if cos_angle >= cos_fov
-                else 0.0)
-        if gain > best_gain:
-            best_index = i
-            best_gain = gain
-        powers.append(ap.power * gain)
-        terms.append(_harvest_term(ap.power, d, cos_angle, m))
-    if best_index is None:
+    d, cos_angle = link_geometry(aps.position, mt)
+    # a link past the float64 range gives inf or nan, no warning: a rate
+    # built from it is not finite, and the CLI refuses the terminal
+    with np.errstate(all="ignore"):
+        gain = _los_gain(mt, g, aps.m, d, cos_angle)
+        gain[cos_angle < math.cos(mt.fov)] = 0.0  # none outside the FOV
+        powers = (aps.power * gain).tolist()
+        terms = _harvest_term(aps.power, d, cos_angle, aps.m).tolist()
+    # argmax ties to the lowest index; fmax takes a nan gain as 0
+    positive = np.fmax(gain, 0.0)
+    best = int(positive.argmax())
+    if positive[best] == 0.0:
         raise NoCoverageError(
             f"mt {mt_index}: no AP inside the field of view yields nonzero gain")
-    # the others in AP order; a total less the serving term rounds differently
     scale = mt.conv_coeff * scn.params.t_d * mt.oe_efficiency
     return Association(
-        serving=best_index,
-        a=powers[best_index],
-        c=sum(p for k, p in enumerate(powers) if k != best_index),
-        k1=scale * terms[best_index],
-        k2=scale * sum(t for k, t in enumerate(terms) if k != best_index))
+        serving=best,
+        a=powers[best],
+        c=_sum_others(powers, best),
+        k1=scale * terms[best],
+        k2=scale * _sum_others(terms, best))

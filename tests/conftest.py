@@ -5,12 +5,14 @@ import pytest
 
 from hrvlc.objective import ReducedCoefficients
 from hrvlc.scenario import (
+    ApTable,
     MobileTerminal,
     Point3,
     Scenario,
     SystemParams,
-    VlcAp,
 )
+
+from oracles import Ap
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -26,7 +28,14 @@ def single_ap_config():
 
 
 def make_ap(x=2.0, y=2.0, z=3.0, power=3.0, half_angle=math.radians(60)):
-    return VlcAp(Point3(x, y, z), power, half_angle)
+    return Ap(Point3(x, y, z), power, half_angle)
+
+
+def make_aps(aps):
+    """The ``ApTable`` of ``Ap`` rows."""
+    return ApTable([(ap.position.x, ap.position.y, ap.position.z)
+                    for ap in aps],
+                   [ap.power for ap in aps], [ap.half_angle for ap in aps])
 
 
 def make_mt(x=2.0, y=2.0, z=1.0, **over):
@@ -47,7 +56,7 @@ def make_params(**over):
 def make_scenario(aps=None, mts=None, params=None, room=(5.0, 5.0, 3.0)):
     return Scenario(
         room=room,
-        aps=tuple(aps) if aps is not None else (make_ap(),),
+        aps=make_aps(aps if aps is not None else [make_ap()]),
         mts=tuple(mts) if mts is not None else (make_mt(),),
         params=params if params is not None else make_params(),
     )

@@ -1,8 +1,9 @@
 """Physics, density, solver, CSV and SVG oracles the package does not need.
 
 The package optimizes the reduced objective R(alpha).  These functions
-rebuild the same quantities link by link from the scenario, so tests can
-check the reduction against them; give the checked first and second
+rebuild the same quantities link by link from the scenario, in Python
+floats, so tests can check the reduction and the one-array-pass
+association against them bit for bit; give the checked first and second
 derivatives of R over the solvers' kernels; give the Rician envelope
 density and a reference sampler that the fading draws are checked against;
 and give the unconstrained stationary point that the solvers clamp.  The
@@ -15,13 +16,15 @@ fading draws and the lockstep batched bisection must match bit for bit.
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import i0e
 
 from hrvlc import harvested_energy, total_rate
-from hrvlc.errors import ConvergenceError, HrvlcError, MalformedCsvError
+from hrvlc.errors import (ConvergenceError, HrvlcError, MalformedCsvError,
+                          NoCoverageError)
 from hrvlc.harvest_uplink import _check_alpha
 from hrvlc.objective import (
     _uplink_curvature,
@@ -29,12 +32,30 @@ from hrvlc.objective import (
     downlink_log_term,
 )
 from hrvlc.optimizer import _root
-from hrvlc.scenario import (
-    _concentrator_gain,
-    _lambertian_order,
-    _los_gain,
-    link_geometry,
-)
+from hrvlc.scenario import Association, Point3, _concentrator_gain
+
+# one AP: position (Point3) [m], optical power [W], half angle [rad]
+Ap = namedtuple("Ap", "position power half_angle")
+
+
+def ap_rows(aps):
+    """The APs of an ``ApTable`` as ``Ap`` rows of floats, in AP order."""
+    return [Ap(Point3(*xyz), power, half_angle) for xyz, power, half_angle
+            in zip(aps.position.tolist(), aps.power.tolist(),
+                   aps.half_angle.tolist())]
+
+
+def link_reference(ap, mt):
+    """Distance and cosine of one AP-to-MT link, in Python floats."""
+    dx = ap.position.x - mt.position.x
+    dy = ap.position.y - mt.position.y
+    dz = ap.position.z - mt.position.z
+    d = math.sqrt(dx * dx + dy * dy + dz * dz)
+    return d, dz / d
+
+
+def lambertian_order_reference(half_angle):
+    return -1.0 / math.log2(math.cos(half_angle))
 
 
 @dataclass(frozen=True)
@@ -46,15 +67,52 @@ class ChannelGain:
 def channel_gain(ap, mt):
     """LOS Lambertian gain of one AP-to-MT link; zero outside the FOV.
 
-    The gain that ``associate`` computes for each AP in its one pass, link
-    by link from the same kernels, so its sums can be checked bit for bit.
+    The gain ``associate`` computes for the link in its array pass, here in
+    Python floats with the same operations in the same order.
     """
-    d, cos_angle = link_geometry(ap, mt)
+    d, cos_angle = link_reference(ap, mt)
     if cos_angle < math.cos(mt.fov):
         return ChannelGain(0.0, False)
     g = _concentrator_gain(mt.refractive_index, mt.fov)
-    m = _lambertian_order(ap.half_angle)
-    return ChannelGain(_los_gain(mt, g, m, d, cos_angle), True)
+    m = lambertian_order_reference(ap.half_angle)
+    return ChannelGain(((m + 1.0) * mt.area * mt.responsivity * cos_angle ** m
+                        * cos_angle * mt.filter_gain * g)
+                       / (2.0 * math.pi * d * d), True)
+
+
+def harvest_term_reference(ap, mt):
+    """P_T^2/d^4 * cos^(2m) of one AP-to-MT link, in Python floats."""
+    d, cos_angle = link_reference(ap, mt)
+    m = lambertian_order_reference(ap.half_angle)
+    return (ap.power ** 2 / d ** 4) * cos_angle ** (2.0 * m)
+
+
+def associate_reference(scn, mt_index):
+    """``associate`` AP by AP in Python floats.
+
+    The strongest gain serves, ties to the lowest index, and ``c`` and
+    ``k2`` add the other APs' terms in an explicit ``acc += x`` loop in AP
+    order, as ``sum`` did before Python 3.12 began to compensate.
+    """
+    mt = scn.mts[mt_index]
+    best, best_gain = None, 0.0
+    powers, terms = [], []
+    for k, ap in enumerate(ap_rows(scn.aps)):
+        gain = channel_gain(ap, mt).value
+        if gain > best_gain:
+            best, best_gain = k, gain
+        powers.append(ap.power * gain)
+        terms.append(harvest_term_reference(ap, mt))
+    if best is None:
+        raise NoCoverageError(f"mt {mt_index}: no AP serves")
+    c = k2 = 0
+    for k, (power, term) in enumerate(zip(powers, terms)):
+        if k != best:
+            c += power
+            k2 += term
+    scale = mt.conv_coeff * scn.params.t_d * mt.oe_efficiency
+    return Association(serving=best, a=powers[best], c=c,
+                       k1=scale * terms[best], k2=scale * k2)
 
 
 def rate_derivative(coeffs, alpha):
@@ -99,10 +157,11 @@ def downlink_rate(scn, mt_index, serving_index):
     """
     mt = scn.mts[mt_index]
     params = scn.params
-    serving = scn.aps[serving_index]
+    aps = ap_rows(scn.aps)
+    serving = aps[serving_index]
     signal = serving.power * channel_gain(serving, mt).value
     interference = 0.0
-    for k, ap in enumerate(scn.aps):
+    for k, ap in enumerate(aps):
         if k == serving_index:
             continue
         interference += ap.power * channel_gain(ap, mt).value
@@ -130,10 +189,8 @@ def harvest_constants(scn, mt_index, serving_index):
     mt = scn.mts[mt_index]
     scale = mt.conv_coeff * scn.params.t_d * mt.oe_efficiency
     k1 = k2 = 0.0
-    for k, ap in enumerate(scn.aps):
-        d, cos_phi = link_geometry(ap, mt)
-        term = ap.power ** 2 / d ** 4 * cos_phi ** (
-            2 * _lambertian_order(ap.half_angle))
+    for k, ap in enumerate(ap_rows(scn.aps)):
+        term = harvest_term_reference(ap, mt)
         if k == serving_index:
             k1 = scale * term
         else:

@@ -27,10 +27,11 @@ from hrvlc.cli import (
     cmd_solve,
     cmd_sweep,
 )
-from hrvlc.scenario import MobileTerminal, Point3, Scenario, SystemParams, VlcAp
+from hrvlc.scenario import MobileTerminal, Point3, Scenario, SystemParams
 
-from conftest import CONFIG_DIR, make_mt, random_coeffs
+from conftest import CONFIG_DIR, make_aps, make_mt, random_coeffs
 from oracles import (
+    Ap,
     downlink_rate,
     rate_derivative,
     rate_second_derivative,
@@ -168,11 +169,11 @@ def test_criterion_5_convergence_shape(tmp_path):
 
 def random_scenario(rng):
     n_aps = rng.integers(1, 4)
-    aps = tuple(
-        VlcAp(Point3(rng.uniform(0.5, 4.5), rng.uniform(0.5, 4.5), 3.0),
-              power=rng.uniform(1.0, 5.0),
-              half_angle=math.radians(rng.uniform(40, 70)))
-        for _ in range(n_aps))
+    aps = make_aps([
+        Ap(Point3(rng.uniform(0.5, 4.5), rng.uniform(0.5, 4.5), 3.0),
+           power=rng.uniform(1.0, 5.0),
+           half_angle=math.radians(rng.uniform(40, 70)))
+        for _ in range(n_aps)])
     mt = MobileTerminal(
         position=Point3(rng.uniform(0.5, 4.5), rng.uniform(0.5, 4.5),
                         rng.uniform(0.8, 1.2)),

@@ -349,7 +349,8 @@ class TestMainExitCodes:
     # Each field in range, but past what float64 carries, on the single-AP
     # room: a half angle whose cosine rounds to 1; an uplink noise product
     # T_u*N0*d^n that underflows to 0; a noise floor so far below the signal
-    # that the downlink SINR overflows.
+    # that the downlink SINR overflows; a link so short that d^4 underflows
+    # to 0 in the harvest term.
     @pytest.mark.parametrize("patch, error", [
         pytest.param({"aps": {"half_angle_deg": 1e-7}},
                      "aps[0].half_angle_deg: too small: its cosine rounds "
@@ -361,6 +362,11 @@ class TestMainExitCodes:
         pytest.param({"params": {"N0": 1e-320}},
                      "mts[0]: downlink rate B_v*log2(1 + P_T*G/(N0*B_v + "
                      "interference)) is not finite", id="sinr-overflow"),
+        pytest.param({"aps": {"pos": [2.0, 2.0, 2e-100]},
+                      "mts": {"pos": [2.0, 2.0, 1e-100]}},
+                     "mts[0]: uplink rate B_r*log2(1 + E_H*|h|^2/(T_u*N0*"
+                     "rf_distance^pathloss_exp)) is not finite",
+                     id="link-distance-underflow"),
     ])
     @pytest.mark.parametrize("route", [
         ["solve", "--method", "closed"], ["solve", "--method", "iter"],
@@ -371,8 +377,8 @@ class TestMainExitCodes:
                                       route):
         doc = json.loads(Path(SINGLE_AP).read_text(encoding="utf-8"))
         for section, fields in patch.items():
-            (doc[section][0] if section == "aps" else doc[section]).update(
-                fields)
+            (doc[section][0] if section in ("aps", "mts")
+             else doc[section]).update(fields)
         cfg = tmp_path / "degenerate.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "x.csv"
@@ -506,7 +512,8 @@ class TestReusedParser:
 
 
 class TestOnePassPerCall:
-    """Each call parses its config once and evaluates each AP link once.
+    """Each call parses its config once and evaluates its AP links in one
+    batched geometry call, with the Lambertian orders worked out once.
 
     It also draws its fades through one envelope pass and bisects in at
     most one ``solve_iterative`` call.
@@ -556,7 +563,7 @@ class TestOnePassPerCall:
                                             counted(fn.__name__, fn))
         monkeypatch.setattr(json, "loads", counted("loads", json.loads))
         report = run(three_ap, str(tmp_path / "out.csv"))
-        assert calls == {"link_geometry": 3, "_lambertian_order": 3,
+        assert calls == {"link_geometry": 1, "_lambertian_order": 1,
                          "loads": 1, "rician_envelope": 1,
                          "solve_iterative": bisections}
         with open(three_ap, "rb") as fh:

@@ -6,11 +6,11 @@ from scipy import integrate, stats
 
 from hrvlc import associate, harvested_energy, rician_envelope
 from hrvlc.cli import _fading_power
-from hrvlc.scenario import _lambertian_order, link_geometry
 
 from conftest import make_ap, make_mt, make_params, make_scenario
 from oracles import (
     HarvestConstants,
+    harvest_term_reference,
     rician_pdf,
     rician_reference,
     uplink_budget,
@@ -46,14 +46,11 @@ class TestHarvestConstants:
         assert consts.serving == 0
 
         # oracle: recompute both coefficients term by term from raw geometry
-        def term(ap):
-            d, cos_phi = link_geometry(ap, mt)
-            m = _lambertian_order(ap.half_angle)
-            return ap.power ** 2 / d ** 4 * cos_phi ** (2 * m)
-
         scale = mt.conv_coeff * params.t_d * mt.oe_efficiency
-        assert consts.k1 == pytest.approx(scale * term(aps[0]), rel=1e-12)
-        assert consts.k2 == pytest.approx(scale * term(aps[1]), rel=1e-12)
+        assert consts.k1 == pytest.approx(
+            scale * harvest_term_reference(aps[0], mt), rel=1e-12)
+        assert consts.k2 == pytest.approx(
+            scale * harvest_term_reference(aps[1], mt), rel=1e-12)
 
 
 class TestHarvestedEnergy:

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hrvlc import associate, reduce_coefficients, total_rate
-from hrvlc.scenario import _lambertian_order, link_geometry
 
 from conftest import make_ap, make_coeffs, make_mt, make_scenario, random_coeffs
 from oracles import (
     channel_gain,
     downlink_rate,
+    harvest_term_reference,
     rate_derivative,
     rate_second_derivative,
     uplink_budget,
@@ -50,18 +50,15 @@ class TestReduceCoefficients:
         g0 = channel_gain(aps[0], mt).value
         g1 = channel_gain(aps[1], mt).value
 
-        def harvest_term(ap):
-            d, cos_phi = link_geometry(ap, mt)
-            return ap.power ** 2 / d ** 4 * cos_phi ** (
-                2 * _lambertian_order(ap.half_angle))
+        t0, t1 = (harvest_term_reference(ap, mt) for ap in aps)
 
         scale = mt.conv_coeff * p.t_d * mt.oe_efficiency
         assert assoc.serving == 0
         assert rel_err(coeffs.a, aps[0].power * g0) <= 1e-12
         assert coeffs.b == pytest.approx(p.n0 * p.b_v, rel=1e-12)
         assert rel_err(coeffs.c, aps[1].power * g1) <= 1e-12
-        assert rel_err(coeffs.d, scale * harvest_term(aps[0]) * h_sq) <= 1e-12
-        assert rel_err(coeffs.e, scale * harvest_term(aps[1]) * h_sq) <= 1e-12
+        assert rel_err(coeffs.d, scale * t0 * h_sq) <= 1e-12
+        assert rel_err(coeffs.e, scale * t1 * h_sq) <= 1e-12
         assert coeffs.g == pytest.approx(
             p.t_u * p.n0 * mt.rf_distance ** mt.pathloss_exp, rel=1e-12)
         assert coeffs.b1 == p.b_v

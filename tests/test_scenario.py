@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,21 @@ from hrvlc.errors import (
     GeometryError,
     NoCoverageError,
 )
-from hrvlc.scenario import _lambertian_order, link_geometry
+from hrvlc.scenario import _AP, _entries, _sum_others, link_geometry
 
 from conftest import make_ap, make_mt, make_scenario
-from oracles import channel_gain
+from oracles import (
+    ap_rows,
+    associate_reference,
+    channel_gain,
+    harvest_term_reference,
+    link_reference,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import generate_hall  # noqa: E402
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = {
     "room": {"x": 4.0, "y": 4.0, "z": 3.0},
@@ -41,10 +54,10 @@ def config_with(**patches):
 class TestLoadScenario:
     def test_minimal_roundtrip(self):
         scn = load_scenario(json.dumps(MINIMAL))
-        assert len(scn.aps) == 1
+        assert scn.aps.power.size == 1
         assert len(scn.mts) == 1
         assert scn.params.b_v == 1e7
-        assert scn.aps[0].half_angle == pytest.approx(math.radians(60))
+        assert scn.aps.half_angle[0] == pytest.approx(math.radians(60))
         assert scn.mts[0].fov == pytest.approx(math.radians(70))
 
     def test_malformed_json(self):
@@ -104,7 +117,7 @@ class TestLoadScenario:
 
 class TestLinkGeometry:
     def test_vertical_link(self):
-        assert link_geometry(make_ap(2, 2, 3), make_mt(2, 2, 1)) == (2.0, 1.0)
+        assert link_geometry((2.0, 2.0, 3.0), make_mt(2, 2, 1)) == (2.0, 1.0)
 
     def test_oblique_link_matches_coordinate_oracle(self):
         # oracle: plain numpy vector arithmetic on the raw coordinates
@@ -114,7 +127,7 @@ class TestLinkGeometry:
         d_expect = np.linalg.norm(diff)
         cos_expect = diff[2] / d_expect
 
-        d, cos_phi = link_geometry(make_ap(0, 0, 3), make_mt(2, 0, 1))
+        d, cos_phi = link_geometry((0.0, 0.0, 3.0), make_mt(2, 0, 1))
         assert d == pytest.approx(d_expect, rel=1e-15)
         assert d == pytest.approx(math.sqrt(8), rel=1e-15)
         assert cos_phi == pytest.approx(cos_expect, rel=1e-15)
@@ -122,16 +135,16 @@ class TestLinkGeometry:
 
     def test_colocated_is_degenerate(self):
         with pytest.raises(GeometryError):
-            link_geometry(make_ap(2, 2, 3), make_mt(2, 2, 3))
+            link_geometry((2.0, 2.0, 3.0), make_mt(2, 2, 3))
 
     def test_ap_below_mt_is_degenerate(self):
         with pytest.raises(GeometryError):
-            link_geometry(make_ap(2, 2, 1), make_mt(2, 2, 2))
+            link_geometry((2.0, 2.0, 1.0), make_mt(2, 2, 2))
 
     @given(r=st.floats(0, 3), theta=st.floats(0, 2 * math.pi),
            dz=st.floats(0.5, 2.5))
     def test_rotation_about_ap_axis_is_invariant(self, r, theta, dz):
-        ap = make_ap(0, 0, 3)
+        ap = (0.0, 0.0, 3.0)
         base = link_geometry(ap, make_mt(r, 0.0, 3 - dz))
         rotated = link_geometry(
             ap, make_mt(r * math.cos(theta), r * math.sin(theta), 3 - dz))
@@ -141,13 +154,33 @@ class TestLinkGeometry:
     @given(x=st.floats(-3, 3), y=st.floats(-3, 3), dz=st.floats(0.1, 2.9))
     @example(x=0.0, y=0.0, dz=0.1143118198284669)
     def test_cosine_in_unit_interval_and_distance_bound(self, x, y, dz):
-        ap, mt = make_ap(0, 0, 3), make_mt(x, y, 3 - dz)
+        ap, mt = (0.0, 0.0, 3.0), make_mt(x, y, 3 - dz)
         d, cos_phi = link_geometry(ap, mt)
         assert 0 < cos_phi <= 1
         # the drop the geometry sees, which rounds away from dz; since
         # sqrt(fl(x*x)) == |x|, the distance bounds it exactly
-        drop = ap.position.z - mt.position.z
+        drop = ap[2] - mt.position.z
         assert d >= drop
+
+    def test_batch_matches_link_by_link_reference(self):
+        aps = [make_ap(0.5, 0.5, 3.0), make_ap(2.0, 2.0, 3.0),
+               make_ap(4.8, 0.1, 2.5), make_ap(1.1, 3.3, 3.0)]
+        mt = make_mt(2.2, 1.9, 1)
+        d, cos_angle = link_geometry(make_scenario(aps=aps).aps.position, mt)
+        assert list(zip(d.tolist(), cos_angle.tolist())) == [
+            link_reference(ap, mt) for ap in aps]
+
+    @pytest.mark.parametrize("bad, message", [
+        ((2.0, 2.0, 1.0), "AP and MT are colocated (zero link distance)"),
+        ((3.0, 2.0, 1.0), "AP must be strictly above the MT plane"),
+    ])
+    def test_batch_names_the_first_bad_link(self, bad, message):
+        # the other kind of bad link comes later and is not the one named
+        later = (3.0, 2.0, 0.5) if bad[0] == 2.0 else (2.0, 2.0, 1.0)
+        with pytest.raises(GeometryError) as exc:
+            link_geometry([(2.0, 2.0, 3.0), bad, (1.0, 1.0, 3.0), later],
+                          make_mt(2, 2, 1))
+        assert str(exc.value) == message
 
 
 class TestAssociate:
@@ -173,7 +206,8 @@ class TestAssociate:
             aps=[make_ap(0.5, 0.5, 3), make_ap(2, 2, 3), make_ap(4, 4, 3)],
             mts=[make_mt(2.2, 1.9, 1)])
         chosen = associate(scn, 0).serving
-        gains = [channel_gain(ap, scn.mts[0]).value for ap in scn.aps]
+        gains = [channel_gain(ap, scn.mts[0]).value
+                 for ap in ap_rows(scn.aps)]
         assert gains[chosen] == max(gains)
 
     def test_link_sums_match_channel_gain_bitwise(self):
@@ -181,7 +215,8 @@ class TestAssociate:
             aps=[make_ap(0.5, 0.5, 3), make_ap(2, 2, 3), make_ap(4.8, 4.8, 3)],
             mts=[make_mt(2.2, 1.9, 1, fov=math.radians(55))])
         mt = scn.mts[0]
-        powers = [ap.power * channel_gain(ap, mt).value for ap in scn.aps]
+        powers = [ap.power * channel_gain(ap, mt).value
+                  for ap in ap_rows(scn.aps)]
         assoc = associate(scn, 0)
         assert assoc.serving == 1
         assert powers[0] > 0.0 and powers[2] == 0.0  # aps[2] outside the FOV
@@ -196,15 +231,44 @@ class TestAssociate:
         mt = make_mt(4.5, 4.5, 1, fov=math.radians(30))
         scn = make_scenario(aps=[far, near], mts=[mt])
         assoc = associate(scn, 0)
-        d, cos_phi = link_geometry(far, mt)
-        term = far.power ** 2 / d ** 4 * cos_phi ** (
-            2 * _lambertian_order(far.half_angle))
+        cos_phi = link_reference(far, mt)[1]
+        term = harvest_term_reference(far, mt)
         assert cos_phi < math.cos(mt.fov)
         assert assoc.serving == 1
         assert assoc.c == 0.0
         assert assoc.k2 > 0.0
         scale = mt.conv_coeff * scn.params.t_d * mt.oe_efficiency
         assert assoc.k2 == pytest.approx(scale * term, rel=1e-12)
+
+
+HALLS = [pytest.param(seed, heldout, id=f"hall-{seed}-{heldout}")
+         for seed in (1, 2, 3) for heldout in (False, True)]
+
+
+class TestAssociateReference:
+    """The array pass against the AP-by-AP loop in Python floats."""
+
+    @pytest.mark.parametrize("seed, heldout", HALLS)
+    def test_every_hall_terminal_bit_for_bit(self, seed, heldout):
+        # c and k2 as an explicit acc += x loop in AP order adds them
+        scn = load_scenario(json.dumps(generate_hall(seed, heldout, 16, 16,
+                                                     24)))
+        assert len(scn.mts) == 16
+        for j in range(16):
+            assert repr(associate(scn, j)) == repr(associate_reference(scn, j))
+
+    @pytest.mark.parametrize("name", ["two_ap_room", "single_ap_room"])
+    def test_shipped_configs_bit_for_bit(self, name):
+        # with one AP, c is the int 0 that an empty sum starts from
+        scn = load_scenario((CONFIG_DIR / f"{name}.json").read_text())
+        assert repr(associate(scn, 0)) == repr(associate_reference(scn, 0))
+
+    def test_link_sums_add_left_to_right(self):
+        # a compensated sum (Python 3.12's sum()) gives 1.0 and 6.0 here
+        assert _sum_others([1e16, 1.0, -1e16, 7.0], 3) == 0.0
+        assert _sum_others([7.0, 1e16, 1.0, -1e16, 5.0], 0) == 5.0
+        # nothing to add is the int 0 an empty sum() returns
+        assert repr(_sum_others([2.5], 0)) == "0"
 
 
 # Every single-fault config, with the field and message it must report.  Two
@@ -223,6 +287,8 @@ ABOVE_1 = math.nextafter(1.0, 2.0)
 BELOW_90 = math.nextafter(90.0, 0.0)
 ABOVE_90 = math.nextafter(90.0, 100.0)
 ABOVE_4 = math.nextafter(4.0, 5.0)     # just past the 4 m room side
+# the least half angle [deg] whose cosine, in radians, rounds below 1
+LEAST_HALF_ANGLE = 6.037091348628667e-07
 
 # (section, key, loaded attribute, range message, just outside, just inside);
 # a room side just inside its bound would leave the entries outside the room
@@ -237,7 +303,7 @@ FIELDS = [
     ("params", "T_u", "t_u", "must be > 0", [0, -TINY], [TINY]),
     ("aps", "P_T", "power", "must be >= 0", [-TINY], [0, TINY]),
     ("aps", "half_angle_deg", "half_angle", "must be in (0, 90)",
-     [0, 90], [TINY, BELOW_90]),
+     [0, 90], [LEAST_HALF_ANGLE, BELOW_90]),
     ("mts", "A", "area", "must be > 0", [0, -TINY], [TINY]),
     ("mts", "rho", "responsivity", "must be > 0", [0, -TINY], [TINY]),
     ("mts", "T_s", "filter_gain", "must be > 0", [0, -TINY], [TINY]),
@@ -315,6 +381,13 @@ def _fault_cases():
             case(where, value, field, "position outside room bounds",
                  f"{field}={value!r}")
 
+    # in range, but too small for the Lambertian order: 5e-324 degrees is 0
+    # radians, the float below LEAST_HALF_ANGLE has a cosine of 1
+    for value in (TINY, math.nextafter(LEAST_HALF_ANGLE, 0.0)):
+        case(("aps", 1, "half_angle_deg"), value, "aps[1].half_angle_deg",
+             "too small: its cosine rounds to 1",
+             f"aps[1].half_angle_deg={value!r}")
+
     for where, field in [((), "<root>"), (("room",), "room"),
                          (("params",), "params"), (("aps", 1), "aps[1]"),
                          (("mts", 1), "mts[1]"), (("sweep",), "sweep")]:
@@ -365,7 +438,8 @@ class TestFaultTable:
 
     def test_base_config_loads(self):
         scn = load_scenario(json.dumps(TWO_OF_EACH))
-        assert (len(scn.aps), len(scn.mts), scn.bv_sweep) == (2, 2, (5e6, 1e7))
+        assert (scn.aps.power.size, len(scn.mts), scn.bv_sweep) == (
+            2, 2, (5e6, 1e7))
 
     @pytest.mark.parametrize("where, value, field, message", _fault_cases())
     def test_single_fault(self, where, value, field, message):
@@ -393,9 +467,69 @@ class TestFaultTable:
         for section, key, attr, _, _, inside in FIELDS for value in inside])
     def test_bound_just_inside_loads(self, section, key, attr, value):
         scn = load_scenario(json.dumps(_patched(_where(section, key), value)))
-        owner = {"params": scn.params, "aps": scn.aps[1],
-                 "mts": scn.mts[1]}[section]
-        loaded = getattr(owner, attr)
+        if section == "aps":
+            loaded = getattr(scn.aps, attr).tolist()[1]
+        else:
+            loaded = getattr({"params": scn.params,
+                              "mts": scn.mts[1]}[section], attr)
         expect = math.radians(value) if key.endswith("_deg") else float(value)
         assert loaded == expect
         assert type(loaded) is float
+
+
+class TestApArrayPath:
+    """The array checks of a 256-AP hall name the first bad AP as the walker.
+
+    aps[200] carries an unknown key, which the walker checks before any
+    field, so a check that ran fault kind by fault kind over all APs would
+    name aps[200] instead.
+    """
+
+    @pytest.mark.parametrize("fault, error", [
+        (lambda ap: ap.pop("P_T"), "aps[17].P_T: missing"),
+        (lambda ap: ap.update(zz=1.0), "aps[17]: unknown keys ['zz']"),
+        (lambda ap: ap.update(P_T=True), "aps[17].P_T: must be a number"),
+        (lambda ap: ap.update(half_angle_deg="60"),
+         "aps[17].half_angle_deg: must be a number"),
+        (lambda ap: ap["pos"].__setitem__(1, math.nan),
+         "aps[17].pos[1]: must be a finite number"),
+        (lambda ap: ap.update(half_angle_deg=90.0),
+         "aps[17].half_angle_deg: must be in (0, 90)"),
+        (lambda ap: ap["pos"].__setitem__(0, 40.0 + 1e-9),
+         "aps[17].pos: position outside room bounds"),
+    ], ids=["missing", "unknown", "bool", "string", "nan", "out-of-range",
+            "outside-room"])
+    def test_names_the_first_bad_ap(self, fault, error):
+        doc = generate_hall(2, False, 16, 16, 24)
+        assert len(doc["aps"]) == 256 and doc["room"]["x"] == 40.0
+        fault(doc["aps"][17])
+        doc["aps"][200]["yy"] = 1.0
+        with pytest.raises(ConfigValidationError) as exc:
+            load_scenario(json.dumps(doc))
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("second, error", [
+        ({"half_angle_deg": 1e-9},
+         "aps[17].half_angle_deg: too small: its cosine rounds to 1"),
+        ({"P_T": -1.0}, "aps[200].P_T: must be >= 0"),
+    ], ids=["both-too-small", "field-fault-first"])
+    def test_too_small_after_every_field(self, second, error):
+        # the order is checked once every AP's fields have passed
+        doc = generate_hall(2, False, 16, 16, 24)
+        doc["aps"][17]["half_angle_deg"] = 1e-7
+        doc["aps"][200].update(second)
+        with pytest.raises(ConfigValidationError) as exc:
+            load_scenario(json.dumps(doc))
+        assert str(exc.value) == error
+
+    def test_loaded_columns_match_the_walker(self):
+        # every AP value as the row walker reads it, in radians
+        text = json.dumps(generate_hall(1, True, 16, 16, 24))
+        scn = load_scenario(text)
+        doc = json.loads(text, parse_int=float)
+        room = tuple(doc["room"][k] for k in "xyz")
+        rows = _entries(doc["aps"], _AP, "aps", room)
+        assert ap_rows(scn.aps) == [
+            (kw["position"], kw["power"], kw["half_angle"]) for kw in rows]
+        assert all(not column.flags.writeable for column in (
+            scn.aps.position, scn.aps.power, scn.aps.half_angle, scn.aps.m))
