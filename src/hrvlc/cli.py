@@ -48,8 +48,9 @@ def _load(config_path):
     return load_scenario(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
 
 
-def _fading_power(mt, seed, n_draws):
-    """|h|^2 of fading draws 0..n_draws-1 as one array.
+def _fading_power(k, omega, seed, n_draws):
+    """|h|^2 of fading draws 0..n_draws-1 as one array; k and omega are the
+    Rician factor and E|h|^2 of the fade.
 
     Draw i owns the generator ``default_rng([seed, i])`` and takes its
     (real, imaginary) normal pair from one ``standard_normal(2)`` call.
@@ -57,7 +58,7 @@ def _fading_power(mt, seed, n_draws):
     pairs = np.empty((n_draws, 2))
     for i in range(n_draws):
         pairs[i] = np.random.default_rng([seed, i]).standard_normal(2)
-    h = rician_envelope(mt.rician_k, mt.rician_omega, pairs[:, 0], pairs[:, 1])
+    h = rician_envelope(k, omega, pairs[:, 0], pairs[:, 1])
     return h * h
 
 
@@ -68,14 +69,15 @@ def _prepare(config_path, mt_index, seed, n_draws=None):
     0..n_draws-1.
     """
     scn, digest = _load(config_path)
-    if not 0 <= mt_index < len(scn.mts):
-        raise ValueError(f"--mt must be in [0, {len(scn.mts)})")
+    n_mts = len(scn.mts.position)
+    if not 0 <= mt_index < n_mts:
+        raise ValueError(f"--mt must be in [0, {n_mts})")
     assoc = associate(scn, mt_index)
-    mt = scn.mts[mt_index]
+    fade = scn.mts.row(mt_index, "rician_k", "rician_omega")
     if n_draws is None:
-        h_sq = float(_fading_power(mt, seed, 1)[0])
+        h_sq = float(_fading_power(*fade, seed, 1)[0])
     else:
-        h_sq = _fading_power(mt, seed, n_draws)
+        h_sq = _fading_power(*fade, seed, n_draws)
     coeffs = reduce_coefficients(scn, mt_index, assoc, h_sq)
     _check_rates(coeffs, mt_index)
     return scn, digest, assoc, h_sq, coeffs

@@ -26,10 +26,19 @@ def _libm(fn, x, *y):
     return np.fromiter(map(fn, *columns), float, x.size).reshape(x.shape)
 
 
+def _pow(x, y):
+    """libm's x**y, and inf past the float range, as numpy gives it, where
+    the math module raises; every power taken here has a base >= 0."""
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
+
+
 def _harvest_term(power, d, cos_phi, m):
     """P_T^2/d^4 * cos^(2m) of AP links of Lambertian order m, element-wise."""
-    return (_libm(math.pow, power, 2.0) / _libm(math.pow, d, 4.0)
-            * _libm(math.pow, cos_phi, 2.0 * m))
+    return (_libm(_pow, power, 2.0) / _libm(_pow, d, 4.0)
+            * _libm(_pow, cos_phi, 2.0 * m))
 
 
 def harvested_energy(consts, alpha):

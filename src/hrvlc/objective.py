@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harvest_uplink import _check_alpha, _libm
+from .harvest_uplink import _check_alpha, _libm, _pow
 
 LN2 = math.log(2.0)
 
@@ -48,7 +48,8 @@ def reduce_coefficients(scn, mt_index, assoc, h_sq):
 
     An array of fading powers h_sq batches d and e.
     """
-    mt = scn.mts[mt_index]
+    rf_distance, pathloss_exp = scn.mts.row(mt_index, "rf_distance",
+                                            "pathloss_exp")
     params = scn.params
     return ReducedCoefficients(
         a=assoc.a,
@@ -56,7 +57,7 @@ def reduce_coefficients(scn, mt_index, assoc, h_sq):
         c=assoc.c,
         d=assoc.k1 * h_sq,
         e=assoc.k2 * h_sq,
-        g=params.t_u * params.n0 * mt.rf_distance ** mt.pathloss_exp,
+        g=params.t_u * params.n0 * _pow(rf_distance, pathloss_exp),
         b1=params.b_v,
         b2=params.b_r,
     )

@@ -39,7 +39,6 @@ class KktPoint:
 class OptResult:
     kkt: KktPoint
     rate: float                # R(alpha*) [bits/s]
-    breakdown: object          # ObjectiveEval at alpha*
     # (iteration, alpha, bracket_width) per iterate; of a batch, one such
     # tuple per instance
     trace: tuple = ()
@@ -79,8 +78,8 @@ def _slopes_at_bounds(coeffs, big_a):
 
 
 def _finish(coeffs, kkt, trace=()):
-    ev = total_rate(coeffs, kkt.alpha)
-    return OptResult(kkt=kkt, rate=ev.total, breakdown=ev, trace=trace)
+    return OptResult(kkt=kkt, rate=total_rate(coeffs, kkt.alpha).total,
+                     trace=trace)
 
 
 def solve_closed_form(coeffs):

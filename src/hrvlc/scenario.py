@@ -12,7 +12,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,65 +22,82 @@ from .errors import (
     GeometryError,
     NoCoverageError,
 )
-from .harvest_uplink import _harvest_term, _libm
+from .harvest_uplink import _harvest_term, _libm, _pow
 
 
-@dataclass(frozen=True)
-class Point3:
-    x: float
-    y: float
-    z: float
+@dataclass(frozen=True, eq=False, init=False)
+class _Columns:
+    """Devices of one kind as read-only float columns, one row per device.
 
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError("coordinates must be finite")
-        if self.z < 0:
-            raise ValueError("z must be >= 0")
-
-
-@dataclass(frozen=True, eq=False)
-class ApTable:
-    """Ceiling LED luminaires acting as downlink access points, one a row.
-
-    The columns are copied into read-only float arrays, and the Lambertian
-    order ``m`` is worked out once from ``half_angle``; a half angle whose
-    cosine rounds to 1 has no finite order and is refused.
+    A table is built from its positions and its other init columns, named
+    as its fields; those are copied into one float array, and the columns
+    that are not init fields are worked out from them by ``_derived``.
     """
 
     position: np.ndarray    # (n, 3) coordinates [m]
+
+    def __init__(self, position, **columns):
+        position = np.array(position, dtype=float).reshape(-1, 3)
+        block = np.array(list(columns.values()), dtype=float)
+        if block.shape != (len(columns), len(position)):
+            raise ValueError(f"{type(self).__name__} columns must have one "
+                             "row per device")
+        block.setflags(write=False)  # and so each row taken from it
+        # past the frozen dataclass's __setattr__
+        vars(self).update(zip(columns, block), position=position)
+        derived = self._derived()
+        for column in (position, *derived.values()):
+            column.setflags(write=False)
+        vars(self).update(derived)
+        if vars(self).keys() != self.__dataclass_fields__.keys():
+            inputs = [f.name for f in fields(self) if f.init]
+            raise TypeError(f"{type(self).__name__} takes the columns {inputs}")
+
+    def row(self, index, *names):
+        """The named columns of device ``index``, as Python floats."""
+        return [getattr(self, name).item(index) for name in names]
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class ApTable(_Columns):
+    """Ceiling LED luminaires acting as downlink access points.
+
+    The Lambertian order ``m`` is worked out once from ``half_angle``; a
+    half angle whose cosine rounds to 1 has no finite order and is refused.
+    """
+
     power: np.ndarray       # optical transmit power [W]
     half_angle: np.ndarray  # half-intensity semi-angle [rad]
     m: np.ndarray = field(init=False)  # Lambertian emission order
 
-    def __post_init__(self):
-        position = np.array(self.position, dtype=float).reshape(-1, 3)
-        power = np.array(self.power, dtype=float)
-        half_angle = np.array(self.half_angle, dtype=float)
-        if not position.shape[:1] == power.shape == half_angle.shape:
-            raise ValueError("AP columns must have one row per AP")
-        m = _lambertian_order(half_angle)
-        for name, column in (("position", position), ("power", power),
-                             ("half_angle", half_angle), ("m", m)):
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+    def _derived(self):
+        return {"m": _lambertian_order(self.half_angle)}
 
 
-@dataclass(frozen=True)
-class MobileTerminal:
-    """User device: photodiode receiver, light harvester, RF transmitter."""
+@dataclass(frozen=True, eq=False, init=False)
+class MtTable(_Columns):
+    """User devices: photodiode receiver, light harvester, RF transmitter.
 
-    position: Point3
-    area: float             # photodiode area [m^2]
-    responsivity: float     # optical channel efficiency factor
-    filter_gain: float      # optical filter gain T_s
-    refractive_index: float  # concentrator refractive index
-    fov: float              # receiver field of view [rad]
-    conv_coeff: float       # optical-to-RF power conversion coefficient
-    oe_efficiency: float    # optical-to-electrical conversion efficiency
-    pathloss_exp: float     # RF uplink path-loss exponent
-    rician_k: float         # Rician factor of the uplink fade
-    rician_omega: float     # mean square value of the fade envelope
-    rf_distance: float      # MT to RF AP distance [m]
+    The concentrator gain ``g`` is worked out once from ``refractive_index``
+    and ``fov``; a FOV whose sine squared rounds to 0 has no finite gain and
+    is refused.
+    """
+
+    area: np.ndarray              # photodiode area [m^2]
+    responsivity: np.ndarray      # optical channel efficiency factor
+    filter_gain: np.ndarray       # optical filter gain T_s
+    refractive_index: np.ndarray  # concentrator refractive index
+    fov: np.ndarray               # receiver field of view [rad]
+    conv_coeff: np.ndarray        # optical-to-RF power conversion coefficient
+    oe_efficiency: np.ndarray     # optical-to-electrical conversion efficiency
+    pathloss_exp: np.ndarray      # RF uplink path-loss exponent
+    rician_k: np.ndarray          # Rician factor of the uplink fade
+    rician_omega: np.ndarray      # mean square value of the fade envelope
+    rf_distance: np.ndarray       # MT to RF AP distance [m]
+    g: np.ndarray = field(init=False)  # concentrator gain n_c^2/sin^2(fov)
+
+    def _derived(self):
+        return {"g": _concentrator_gain(self.refractive_index, self.fov)}
 
 
 @dataclass(frozen=True)
@@ -105,9 +122,8 @@ class Association:
 
 @dataclass(frozen=True)
 class Scenario:
-    room: tuple              # (x, y, z) extents [m]
     aps: ApTable
-    mts: tuple               # MobileTerminal, ...
+    mts: MtTable
     params: SystemParams
     bv_sweep: tuple = ()     # optional VLC bandwidths for convergence studies
 
@@ -118,12 +134,13 @@ def _table(*rows):
     A range is written as its error message writes it: "> 0", ">= 1" or an
     interval such as "(0, 90]"; None admits any finite value.  An open bound
     is stored as the nearest float inside it, so ``lo <= value <= hi``
-    checks either kind.  Keys ending in ``_deg`` carry degrees and load as
+    checks either kind, and no bound as the largest float, so that test
+    refuses an infinity.  Keys ending in ``_deg`` carry degrees and load as
     radians.
     """
     table = {}
     for key, field, valid in rows:
-        lo, hi, message = -math.inf, math.inf, None
+        lo, hi, message = -sys.float_info.max, sys.float_info.max, None
         if valid is not None and valid[0] == ">":
             op, bound = valid.split()
             lo = float(bound)
@@ -165,13 +182,16 @@ _MT = {"pos": None} | _table(
 )
 
 
-# The array checks read an AP's fields in this order, and bound its x, y,
-# z, P_T and half_angle_deg from below by _AP_LO and from above by the room
-# and _AP_HI.  The bounds are finite, the largest float standing in for an
-# unbounded P_T, so the range test refuses inf too; nan fails any bound.
-_AP_FIELDS = operator.itemgetter("pos", "P_T", "half_angle_deg")
-_AP_LO = (0.0, 0.0, 0.0, _AP["P_T"][1], _AP["half_angle_deg"][1])
-_AP_HI = (min(_AP["P_T"][2], sys.float_info.max), _AP["half_angle_deg"][2])
+def _array_rules(table):
+    # a device table as the array checks read it, worked out once: the field
+    # names in table order; the least value of each cell row (x, y, z, then
+    # the fields); the fields' greatest values; the rows that hold degrees
+    names, lo, hi, _, degrees = zip(*list(table.values())[1:])
+    return (names, np.array((0.0, 0.0, 0.0, *lo))[:, None], hi,
+            [3 + k for k, angle in enumerate(degrees) if angle])
+
+
+_ARRAY_RULES = {"aps": _array_rules(_AP), "mts": _array_rules(_MT)}
 
 
 def _invalid(section, index, suffix, message):
@@ -211,7 +231,7 @@ def _fields(obj, table, section, index=None, room=None):
 
 
 def _position(pos, room, section, index):
-    """Point3 of a ``pos``: three finite coordinates inside the room."""
+    """(x, y, z) of a ``pos``: three finite coordinates inside the room."""
     if not (isinstance(pos, list) and len(pos) == 3):
         raise _invalid(section, index, ".pos", "must be a list of 3 numbers")
     for k, v in enumerate(pos):
@@ -223,7 +243,7 @@ def _position(pos, room, section, index):
         raise _invalid(section, index, ".pos[2]", "z must be >= 0")
     if not (0 <= x <= room[0] and 0 <= y <= room[1] and z <= room[2]):
         raise _invalid(section, index, ".pos", "position outside room bounds")
-    return Point3(x, y, z)
+    return x, y, z
 
 
 def _entries(entries, table, section, room):
@@ -233,39 +253,41 @@ def _entries(entries, table, section, room):
             for i, entry in enumerate(entries)]
 
 
-def _ap_table(entries, room):
-    """ApTable of the ``aps`` list, whose checks run as array passes.
+def _columns(entries, table, section, room):
+    """``{field: column}`` of a device list: its positions, then its fields.
 
-    They are the checks of ``_fields``: key sets, number types, then each
-    column's range, finiteness included.  Only when one fails does the row
-    walker run, and it names the first bad AP.
+    They are checked in array passes, with the checks of ``_fields``: key
+    sets, number types, then each column's range, finiteness included.
+    Only when one fails does the row walker run, and it names the first bad
+    entry.  Angles load as radians.
     """
+    names, lo, hi, angles = _ARRAY_RULES[section]
     cells = None
     try:
-        pos, power, half_angle = zip(*map(_AP_FIELDS, entries))
+        pos, *columns = zip(*map(operator.itemgetter(*table), entries))
     except (KeyError, TypeError, ValueError):
-        pass  # not a non-empty list of objects with the AP's keys
+        pass  # not a non-empty list of objects with the table's keys
     else:
-        if (set(map(len, entries)) == {3} and set(map(type, pos)) == {list}
+        if (set(map(len, entries)) == {len(table)}
+                and set(map(type, pos)) == {list}
                 and set(map(len, pos)) == {3}):
-            columns = (*zip(*pos), power, half_angle)
+            columns = (*zip(*pos), *columns)
             if set(map(type, itertools.chain(*columns))) == {float}:
                 cells = np.fromiter(itertools.chain(*columns), float,
-                                    5 * len(power)).reshape(5, -1)
-                # each row's least and greatest value in range; the
-                # reductions carry a nan through, and it fails both tests
-                bounds = zip(_AP_LO, np.minimum.reduce(cells, 1).tolist(),
-                             np.maximum.reduce(cells, 1).tolist(),
-                             (*room, *_AP_HI))
-                if not all(lo <= least and most <= hi
-                           for lo, least, most, hi in bounds):
+                                    len(columns) * len(pos)).reshape(
+                                        len(columns), -1)
+                # x, y and z inside the room, each field in its range; nan
+                # fails either bound
+                high = np.array((*room, *hi))[:, None]
+                if not ((lo <= cells) & (cells <= high)).all():
                     cells = None
     if cells is None:
-        _entries(entries, _AP, "aps", room)  # raises at the first bad AP
-    # an angle that converts to 0 radians keeps the least positive one, so
-    # it is refused as too small, as any angle whose cosine rounds to 1
-    half_angle = np.maximum(np.radians(cells[4]), 5e-324)
-    return ApTable(cells[:3].T, cells[3], half_angle)
+        _entries(entries, table, section, room)  # raises at the first bad one
+    for k in angles:
+        # an angle that converts to 0 radians keeps the least positive one,
+        # which the table then refuses as too small, as any angle too small
+        cells[k] = np.maximum(np.radians(cells[k]), 5e-324)
+    return dict(zip(names, cells[3:].tolist()), position=cells[:3].T)
 
 
 def load_scenario(config_text):
@@ -275,7 +297,8 @@ def load_scenario(config_text):
     ConfigValidationError (with the dotted field path) on the first
     invariant violation: sections in the order room, params, aps, mts,
     sweep, each entry's fields in the order of its table above.  The APs'
-    half angles are checked against their cosine after every AP's fields.
+    half angles are checked against their cosine after every AP's fields,
+    and the MTs' FOVs against their sine after every MT's fields.
     """
     try:
         # an integer is read as the float nearest it, so one too large for a
@@ -291,16 +314,15 @@ def load_scenario(config_text):
 
     room = tuple(_fields(doc["room"], _ROOM, "room").values())
     params = SystemParams(**_fields(doc["params"], _PARAMS, "params"))
-    aps = _ap_table(doc["aps"], room)
-    mts = tuple(MobileTerminal(**kw)
-                for kw in _entries(doc["mts"], _MT, "mts", room))
+    aps = ApTable(**_columns(doc["aps"], _AP, "aps", room))
+    mts = MtTable(**_columns(doc["mts"], _MT, "mts", room))
 
     # every AP above the highest MT; name the first MT a low AP fails
-    top = max(mt.position.z for mt in mts)
-    if np.minimum.reduce(aps.position[:, 2]) <= top:
-        i = int(np.argmax(aps.position[:, 2] <= top))
-        z = aps.position[i, 2]
-        j = next(j for j, mt in enumerate(mts) if mt.position.z >= z)
+    ap_z, mt_z = aps.position[:, 2], mts.position[:, 2]
+    top = np.maximum.reduce(mt_z)
+    if np.minimum.reduce(ap_z) <= top:
+        i = int(np.argmax(ap_z <= top))
+        j = int(np.argmax(mt_z >= ap_z[i]))
         raise ConfigValidationError(f"aps[{i}].pos[2]",
                                     f"AP must be above MT mts[{j}]")
 
@@ -318,21 +340,20 @@ def load_scenario(config_text):
                                             "must be a positive number")
         bv_sweep = tuple(values)
 
-    return Scenario(room=room, aps=aps, mts=mts, params=params,
-                    bv_sweep=bv_sweep)
+    return Scenario(aps=aps, mts=mts, params=params, bv_sweep=bv_sweep)
 
 
 def link_geometry(position, mt):
     """Distance and the irradiance/incidence cosine of AP-to-MT links.
 
-    ``position`` is one AP's (x, y, z) or an (n, 3) array of them; one link
-    is a batch of one.  APs point straight down and the photodiode faces
-    straight up, so the irradiance and incidence angles coincide and their
-    one cosine is the vertical drop over the Euclidean distance.  A bad
-    link raises for the first one in AP order.
+    ``position`` is one AP's (x, y, z) or an (n, 3) array of them, and
+    ``mt`` the terminal's (x, y, z); one link is a batch of one.  APs point
+    straight down and the photodiode faces straight up, so the irradiance
+    and incidence angles coincide and their one cosine is the vertical drop
+    over the Euclidean distance.  A bad link raises for the first one in AP
+    order.
     """
-    diff = np.subtract(position, (mt.position.x, mt.position.y,
-                                  mt.position.z))
+    diff = np.subtract(position, mt)
     sq = diff * diff
     d = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
     dz = diff[..., 2]
@@ -350,32 +371,36 @@ def _lambertian_order(half_angle):
     An angle whose cosine rounds to 1 has no finite order: the first such AP
     is named in a ConfigValidationError.
     """
-    half_angle = np.asarray(half_angle, dtype=float)
-    if not all(0 < h < math.pi / 2 for h in half_angle.ravel().tolist()):
+    half_angle = np.asarray(half_angle).ravel().tolist()
+    if not all(0 < h < math.pi / 2 for h in half_angle):
         raise ValueError("half_angle must be in (0, pi/2)")
-    log_cos = np.asarray(_libm(math.log2, _libm(math.cos, half_angle)))
-    if not log_cos.all():
-        i = np.flatnonzero(log_cos == 0)[0]
+    log_cos = list(map(math.log2, map(math.cos, half_angle)))
+    if not all(log_cos):
+        i = log_cos.index(0.0)
         raise ConfigValidationError(f"aps[{i}].half_angle_deg",
                                     "too small: its cosine rounds to 1")
-    return -1.0 / log_cos
+    return -1.0 / np.array(log_cos)
 
 
 def _concentrator_gain(n_c, fov):
-    """Optical concentrator gain n_c^2 / sin^2(fov)."""
-    if n_c < 1:
+    """Optical concentrator gain n_c^2/sin^2(fov) of each MT.
+
+    A FOV whose sine squared rounds to 0 has no finite gain: the first such
+    MT is named in a ConfigValidationError.  A gain past the float64 range
+    is inf: a rate built from it is not finite, and the CLI refuses the
+    terminal.
+    """
+    n_c = np.asarray(n_c).ravel().tolist()
+    fov = np.asarray(fov).ravel().tolist()
+    if not all(n >= 1 for n in n_c):
         raise ValueError("refractive index must be >= 1")
-    if not 0 < fov <= math.pi / 2:
+    if not all(0 < f <= math.pi / 2 for f in fov):
         raise ValueError("fov must be in (0, pi/2]")
-    return n_c * n_c / math.sin(fov) ** 2
-
-
-def _los_gain(mt, g, m, d, cos_angle):
-    """Gains of links of order m, as inside the FOV; g is the concentrator
-    gain."""
-    return ((m + 1.0) * mt.area * mt.responsivity
-            * _libm(math.pow, cos_angle, m) * cos_angle * mt.filter_gain * g
-            ) / (2.0 * math.pi * d * d)
+    sin_sq = [math.sin(f) ** 2 for f in fov]
+    if not all(sin_sq):
+        raise ConfigValidationError(f"mts[{sin_sq.index(0.0)}].fov_deg",
+                                    "too small: its sine squared rounds to 0")
+    return np.array([n * n / s for n, s in zip(n_c, sin_sq)])
 
 
 def _sum_others(values, skip):
@@ -393,15 +418,19 @@ def associate(scn, mt_index):
     (G = 0) adds nothing; ``k2`` sums the harvest term over the other APs
     whether inside the FOV or not.  Both sums run in AP order.
     """
-    mt = scn.mts[mt_index]
-    aps = scn.aps
-    g = _concentrator_gain(mt.refractive_index, mt.fov)
-    d, cos_angle = link_geometry(aps.position, mt)
-    # a link past the float64 range gives inf or nan, no warning: a rate
-    # built from it is not finite, and the CLI refuses the terminal
+    aps, mts = scn.aps, scn.mts
+    area, rho, t_s, g, fov, c_rf, rho_j = mts.row(
+        mt_index, "area", "responsivity", "filter_gain", "g", "fov",
+        "conv_coeff", "oe_efficiency")
+    # a link past the float64 range gives inf, nan or 0, no warning: an AP
+    # too far away counts for nothing, and the CLI refuses a terminal whose
+    # rate is built from an inf or a nan
     with np.errstate(all="ignore"):
-        gain = _los_gain(mt, g, aps.m, d, cos_angle)
-        gain[cos_angle < math.cos(mt.fov)] = 0.0  # none outside the FOV
+        d, cos_angle = link_geometry(aps.position, mts.position[mt_index])
+        # the line-of-sight gain of each link, as inside the FOV
+        gain = ((aps.m + 1.0) * area * rho * _libm(_pow, cos_angle, aps.m)
+                * cos_angle * t_s * g) / (2.0 * math.pi * d * d)
+        gain[cos_angle < math.cos(fov)] = 0.0  # none outside the FOV
         powers = (aps.power * gain).tolist()
         terms = _harvest_term(aps.power, d, cos_angle, aps.m).tolist()
     # argmax ties to the lowest index; fmax takes a nan gain as 0
@@ -410,7 +439,7 @@ def associate(scn, mt_index):
     if positive[best] == 0.0:
         raise NoCoverageError(
             f"mt {mt_index}: no AP inside the field of view yields nonzero gain")
-    scale = mt.conv_coeff * scn.params.t_d * mt.oe_efficiency
+    scale = c_rf * scn.params.t_d * rho_j
     return Association(
         serving=best,
         a=powers[best],

@@ -4,15 +4,9 @@ from pathlib import Path
 import pytest
 
 from hrvlc.objective import ReducedCoefficients
-from hrvlc.scenario import (
-    ApTable,
-    MobileTerminal,
-    Point3,
-    Scenario,
-    SystemParams,
-)
+from hrvlc.scenario import ApTable, MtTable, Scenario, SystemParams
 
-from oracles import Ap
+from oracles import Ap, Mt
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -28,14 +22,12 @@ def single_ap_config():
 
 
 def make_ap(x=2.0, y=2.0, z=3.0, power=3.0, half_angle=math.radians(60)):
-    return Ap(Point3(x, y, z), power, half_angle)
+    return Ap((x, y, z), power, half_angle)
 
 
 def make_aps(aps):
     """The ``ApTable`` of ``Ap`` rows."""
-    return ApTable([(ap.position.x, ap.position.y, ap.position.z)
-                    for ap in aps],
-                   [ap.power for ap in aps], [ap.half_angle for ap in aps])
+    return ApTable(**dict(zip(Ap._fields, zip(*aps))))
 
 
 def make_mt(x=2.0, y=2.0, z=1.0, **over):
@@ -44,7 +36,12 @@ def make_mt(x=2.0, y=2.0, z=1.0, **over):
         fov=math.radians(70), conv_coeff=0.5, oe_efficiency=0.75,
         pathloss_exp=2.5, rician_k=3.0, rician_omega=1.0, rf_distance=4.0)
     fields.update(over)
-    return MobileTerminal(position=Point3(x, y, z), **fields)
+    return Mt(position=(x, y, z), **fields)
+
+
+def make_mts(mts):
+    """The ``MtTable`` of ``Mt`` rows."""
+    return MtTable(**dict(zip(Mt._fields, zip(*mts))))
 
 
 def make_params(**over):
@@ -53,11 +50,10 @@ def make_params(**over):
     return SystemParams(**fields)
 
 
-def make_scenario(aps=None, mts=None, params=None, room=(5.0, 5.0, 3.0)):
+def make_scenario(aps=None, mts=None, params=None):
     return Scenario(
-        room=room,
         aps=make_aps(aps if aps is not None else [make_ap()]),
-        mts=tuple(mts) if mts is not None else (make_mt(),),
+        mts=make_mts(mts if mts is not None else [make_mt()]),
         params=params if params is not None else make_params(),
     )
 

@@ -32,24 +32,37 @@ from hrvlc.objective import (
     downlink_log_term,
 )
 from hrvlc.optimizer import _root
-from hrvlc.scenario import Association, Point3, _concentrator_gain
+from hrvlc.scenario import Association
 
-# one AP: position (Point3) [m], optical power [W], half angle [rad]
+# one AP: position (x, y, z) [m], optical power [W], half angle [rad]
 Ap = namedtuple("Ap", "position power half_angle")
+# one MT: position (x, y, z) [m], then one value per MtTable column, named
+# as the column
+Mt = namedtuple("Mt", "position area responsivity filter_gain "
+                "refractive_index fov conv_coeff oe_efficiency pathloss_exp "
+                "rician_k rician_omega rf_distance")
+
+
+def _rows(table, row_type):
+    columns = [getattr(table, name).tolist() for name in row_type._fields]
+    columns[0] = map(tuple, columns[0])
+    return [row_type(*row) for row in zip(*columns)]
 
 
 def ap_rows(aps):
     """The APs of an ``ApTable`` as ``Ap`` rows of floats, in AP order."""
-    return [Ap(Point3(*xyz), power, half_angle) for xyz, power, half_angle
-            in zip(aps.position.tolist(), aps.power.tolist(),
-                   aps.half_angle.tolist())]
+    return _rows(aps, Ap)
+
+
+def mt_rows(mts):
+    """The MTs of an ``MtTable`` as ``Mt`` rows of floats, in MT order."""
+    return _rows(mts, Mt)
 
 
 def link_reference(ap, mt):
     """Distance and cosine of one AP-to-MT link, in Python floats."""
-    dx = ap.position.x - mt.position.x
-    dy = ap.position.y - mt.position.y
-    dz = ap.position.z - mt.position.z
+    (ax, ay, az), (mx, my, mz) = ap.position, mt.position
+    dx, dy, dz = ax - mx, ay - my, az - mz
     d = math.sqrt(dx * dx + dy * dy + dz * dz)
     return d, dz / d
 
@@ -73,7 +86,7 @@ def channel_gain(ap, mt):
     d, cos_angle = link_reference(ap, mt)
     if cos_angle < math.cos(mt.fov):
         return ChannelGain(0.0, False)
-    g = _concentrator_gain(mt.refractive_index, mt.fov)
+    g = mt.refractive_index * mt.refractive_index / math.sin(mt.fov) ** 2
     m = lambertian_order_reference(ap.half_angle)
     return ChannelGain(((m + 1.0) * mt.area * mt.responsivity * cos_angle ** m
                         * cos_angle * mt.filter_gain * g)
@@ -94,7 +107,7 @@ def associate_reference(scn, mt_index):
     ``k2`` add the other APs' terms in an explicit ``acc += x`` loop in AP
     order, as ``sum`` did before Python 3.12 began to compensate.
     """
-    mt = scn.mts[mt_index]
+    mt = mt_rows(scn.mts)[mt_index]
     best, best_gain = None, 0.0
     powers, terms = [], []
     for k, ap in enumerate(ap_rows(scn.aps)):
@@ -155,7 +168,7 @@ def downlink_rate(scn, mt_index, serving_index):
     Interference sums transmit-power-weighted gains of the other in-FOV
     APs; the noise floor is the PSD integrated over the VLC bandwidth.
     """
-    mt = scn.mts[mt_index]
+    mt = mt_rows(scn.mts)[mt_index]
     params = scn.params
     aps = ap_rows(scn.aps)
     serving = aps[serving_index]
@@ -186,7 +199,7 @@ def harvest_constants(scn, mt_index, serving_index):
     Each AP leaves P_T^2/d^4*cos^(2m) on the harvester; k2 counts every
     AP but the serving one, inside the MT's FOV or not.
     """
-    mt = scn.mts[mt_index]
+    mt = mt_rows(scn.mts)[mt_index]
     scale = mt.conv_coeff * scn.params.t_d * mt.oe_efficiency
     k1 = k2 = 0.0
     for k, ap in enumerate(ap_rows(scn.aps)):
@@ -202,7 +215,8 @@ def uplink_budget(scn, mt_index, serving_index, alpha, h_sq):
     """Full uplink chain: harvested energy, transmit power, SNR and rate."""
     consts = harvest_constants(scn, mt_index, serving_index)
     e_h = harvested_energy(consts, alpha)
-    snr = uplink_snr(consts, alpha, h_sq, scn.mts[mt_index], scn.params)
+    snr = uplink_snr(consts, alpha, h_sq, mt_rows(scn.mts)[mt_index],
+                     scn.params)
     return UplinkRate(e_h=e_h, p_h=e_h / scn.params.t_u, snr=snr,
                       rate=uplink_rate(snr, scn.params))
 
@@ -233,10 +247,10 @@ def rician_reference(k, omega, rng, n):
     return math.sqrt(omega / (1.0 + k)) * np.abs(math.sqrt(k) + z)
 
 
-def fading_power_reference(mt, seed, draw_index):
+def fading_power_reference(k, omega, seed, draw_index):
     """|h|^2 of one fading draw, from its own generator (seed, draw_index)."""
     rng = np.random.default_rng([seed, draw_index])
-    h = float(rician_reference(mt.rician_k, mt.rician_omega, rng, 1)[0])
+    h = float(rician_reference(k, omega, rng, 1)[0])
     return h * h
 
 

@@ -27,11 +27,12 @@ from hrvlc.cli import (
     cmd_solve,
     cmd_sweep,
 )
-from hrvlc.scenario import MobileTerminal, Point3, Scenario, SystemParams
+from hrvlc.scenario import Scenario, SystemParams
 
-from conftest import CONFIG_DIR, make_aps, make_mt, random_coeffs
+from conftest import CONFIG_DIR, make_aps, make_mts, random_coeffs
 from oracles import (
     Ap,
+    Mt,
     downlink_rate,
     rate_derivative,
     rate_second_derivative,
@@ -170,13 +171,13 @@ def test_criterion_5_convergence_shape(tmp_path):
 def random_scenario(rng):
     n_aps = rng.integers(1, 4)
     aps = make_aps([
-        Ap(Point3(rng.uniform(0.5, 4.5), rng.uniform(0.5, 4.5), 3.0),
+        Ap((rng.uniform(0.5, 4.5), rng.uniform(0.5, 4.5), 3.0),
            power=rng.uniform(1.0, 5.0),
            half_angle=math.radians(rng.uniform(40, 70)))
         for _ in range(n_aps)])
-    mt = MobileTerminal(
-        position=Point3(rng.uniform(0.5, 4.5), rng.uniform(0.5, 4.5),
-                        rng.uniform(0.8, 1.2)),
+    mt = Mt(
+        position=(rng.uniform(0.5, 4.5), rng.uniform(0.5, 4.5),
+                  rng.uniform(0.8, 1.2)),
         area=10.0 ** rng.uniform(-5, -3),
         responsivity=rng.uniform(0.2, 0.8),
         filter_gain=1.0,
@@ -192,7 +193,7 @@ def random_scenario(rng):
                           b_r=10.0 ** rng.uniform(6.5, 7.5),
                           n0=10.0 ** rng.uniform(-21, -19),
                           t_d=rng.uniform(0.1, 1.0), t_u=rng.uniform(0.1, 1.0))
-    return Scenario(room=(5.0, 5.0, 3.0), aps=aps, mts=(mt,), params=params)
+    return Scenario(aps=aps, mts=make_mts([mt]), params=params)
 
 
 def test_criterion_6_physics_consistency():
@@ -202,8 +203,8 @@ def test_criterion_6_physics_consistency():
         while checked < 100:
             scn = random_scenario(rng)
             consts = associate(scn, 0)
-            h = rician_reference(scn.mts[0].rician_k, scn.mts[0].rician_omega,
-                                 rng, 1)[0]
+            k, omega = scn.mts.row(0, "rician_k", "rician_omega")
+            h = rician_reference(k, omega, rng, 1)[0]
             h_sq = h * h
             coeffs = reduce_coefficients(scn, 0, consts, h_sq)
             r_d = downlink_rate(scn, 0, consts.serving).rate
@@ -237,8 +238,7 @@ def test_criterion_7_rician_channel():
                                    10 ** 5)
         assert stats.kstest(samples, dist.cdf).pvalue > 0.01
         # the stream montecarlo writes: draw i from its own (seed, i) generator
-        mt = make_mt(rician_k=k, rician_omega=omega)
-        drawn = np.sqrt(_fading_power(mt, 77, 10 ** 5))
+        drawn = np.sqrt(_fading_power(k, omega, 77, 10 ** 5))
         assert stats.kstest(drawn, dist.cdf).pvalue > 0.01
         big = rician_reference(2.0, 1.7, np.random.default_rng(78), 10 ** 6)
         assert abs(np.mean(big * big) - 1.7) <= 0.01 * 1.7

@@ -32,7 +32,7 @@ from hrvlc.cli import (
     main,
 )
 
-from conftest import CONFIG_DIR, make_mt
+from conftest import CONFIG_DIR
 from oracles import fading_power_reference, write_csv_reference
 
 TWO_AP = str(CONFIG_DIR / "two_ap_room.json")
@@ -44,6 +44,14 @@ def read_rows(path):
         reader = csv.reader(fh)
         rows = list(reader)
     return rows[0], rows[1:]
+
+
+# every route from a config to a CSV
+ROUTES = [pytest.param(route, id="-".join(route[::2]))
+          for route in (["solve", "--method", "closed"],
+                        ["solve", "--method", "iter"],
+                        ["solve", "--method", "grid"], ["sweep"],
+                        ["converge"], ["montecarlo"])]
 
 
 def patched_config(tmp_path, name, **param_patches):
@@ -347,14 +355,21 @@ class TestMainExitCodes:
         assert not out.exists()
 
     # Each field in range, but past what float64 carries, on the single-AP
-    # room: a half angle whose cosine rounds to 1; an uplink noise product
-    # T_u*N0*d^n that underflows to 0; a noise floor so far below the signal
-    # that the downlink SINR overflows; a link so short that d^4 underflows
-    # to 0 in the harvest term.
+    # room: a half angle whose cosine rounds to 1; a FOV whose sine squares
+    # to 0, or that is 0 in radians; an uplink noise product T_u*N0*d^n that
+    # underflows to 0; a noise floor so far below the signal that the
+    # downlink SINR overflows; a link so short that d^4 underflows to 0 in
+    # the harvest term; a power whose square P_T^2 overflows.
     @pytest.mark.parametrize("patch, error", [
         pytest.param({"aps": {"half_angle_deg": 1e-7}},
                      "aps[0].half_angle_deg: too small: its cosine rounds "
                      "to 1", id="half-angle"),
+        pytest.param({"mts": {"fov_deg": 1e-300}},
+                     "mts[0].fov_deg: too small: its sine squared rounds "
+                     "to 0", id="fov"),
+        pytest.param({"mts": {"fov_deg": 5e-324}},
+                     "mts[0].fov_deg: too small: its sine squared rounds "
+                     "to 0", id="fov-zero-radians"),
         pytest.param({"params": {"N0": 1e-300, "T_u": 1e-30}},
                      "mts[0]: uplink rate B_r*log2(1 + E_H*|h|^2/(T_u*N0*"
                      "rf_distance^pathloss_exp)) is not finite",
@@ -367,12 +382,12 @@ class TestMainExitCodes:
                      "mts[0]: uplink rate B_r*log2(1 + E_H*|h|^2/(T_u*N0*"
                      "rf_distance^pathloss_exp)) is not finite",
                      id="link-distance-underflow"),
+        pytest.param({"aps": {"P_T": 1e200}},
+                     "mts[0]: uplink rate B_r*log2(1 + E_H*|h|^2/(T_u*N0*"
+                     "rf_distance^pathloss_exp)) is not finite",
+                     id="power-square-overflow"),
     ])
-    @pytest.mark.parametrize("route", [
-        ["solve", "--method", "closed"], ["solve", "--method", "iter"],
-        ["solve", "--method", "grid"], ["sweep"], ["converge"],
-        ["montecarlo"]], ids=["solve-closed", "solve-iter", "solve-grid",
-                              "sweep", "converge", "montecarlo"])
+    @pytest.mark.parametrize("route", ROUTES)
     def test_degenerate_config_is_one(self, tmp_path, capsys, patch, error,
                                       route):
         doc = json.loads(Path(SINGLE_AP).read_text(encoding="utf-8"))
@@ -389,6 +404,57 @@ class TestMainExitCodes:
         assert code == 1
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("far", [1e80, 1e200])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_ap_past_the_floats_counts_for_nothing(self, tmp_path, capsys,
+                                                   far, route):
+        # d^4 overflows in the harvest term from about 1.2e77 m, and d^2 in
+        # the geometry from about 1.3e154 m: the AP harvests and interferes
+        # nothing, so the CSV is that of the room without it
+        doc = json.loads(open(TWO_AP, encoding="utf-8").read())
+        doc["room"]["x"] = 1e300
+        doc["aps"][1]["pos"][0] = far
+        outs = []
+        for name, aps in [("far", doc["aps"]), ("near", doc["aps"][:1])]:
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(dict(doc, aps=aps)))
+            outs.append(tmp_path / f"{name}.csv")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(route + ["--config", str(cfg), "--mt", "0",
+                                     "--out", str(outs[-1])]) == 0
+        assert capsys.readouterr().err == ""
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("patch", [
+        {"pathloss_exp": 1e300}, {"pathloss_exp": -2.0, "rf_distance": 1e-300},
+    ], ids=["exponent", "distance"])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_path_loss_past_the_floats_leaves_no_uplink(self, tmp_path,
+                                                        capsys, patch, route):
+        # rf_distance^pathloss_exp overflows to inf: the uplink carries
+        # nothing, and the whole slot decodes
+        doc = json.loads(Path(SINGLE_AP).read_text(encoding="utf-8"))
+        doc["mts"][0].update(patch)
+        cfg = tmp_path / "lossy.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(route + ["--config", str(cfg), "--mt", "0",
+                                 "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        header, rows = read_rows(out)
+        if route == ["sweep"]:  # no alpha*: the uplink term is 0 throughout
+            column, expected = header.index("R_u_term"), 0.0
+        else:
+            column = header.index("alpha_star" if "alpha_star" in header
+                                  else "alpha")
+            expected = 1.0
+        values = [float(row[column]) for row in rows
+                  if row[0] not in ("mean", "std")]
+        assert values and set(values) == {expected}
 
     def test_converge_bandwidth_past_the_floats_is_one(self, tmp_path,
                                                       capsys):
@@ -576,17 +642,17 @@ class TestBatchedFading:
     @pytest.mark.parametrize("k", [0.0, 0.7, 3.0, 1e12])
     @pytest.mark.parametrize("n_draws", [1, 200, 20000])
     def test_matches_the_draw_by_draw_reference(self, k, n_draws):
-        mt = make_mt(rician_k=k, rician_omega=1.7)
-        got = hrvlc.cli._fading_power(mt, 11, n_draws)
-        want = [fading_power_reference(mt, 11, i) for i in range(n_draws)]
+        got = hrvlc.cli._fading_power(k, 1.7, 11, n_draws)
+        want = [fading_power_reference(k, 1.7, 11, i) for i in range(n_draws)]
         assert got.tobytes() == np.array(want).tobytes()
 
     def test_one_fade_is_draw_zero_as_a_float(self):
         # the fade that sweep, solve and converge use
-        mt = load_scenario(Path(TWO_AP).read_text()).mts[0]
+        mts = load_scenario(Path(TWO_AP).read_text()).mts
         h_sq = hrvlc.cli._prepare(TWO_AP, 0, 5)[3]
         assert type(h_sq) is float
-        assert h_sq == fading_power_reference(mt, 5, 0)
+        assert h_sq == fading_power_reference(mts.rician_k[0],
+                                              mts.rician_omega[0], 5, 0)
 
 
 def _subprocess_env(**extra):

@@ -138,10 +138,9 @@ class TestSampleRician:
         b = rician_reference(3.0, 1.0, np.random.default_rng(5), 10)
         assert np.array_equal(a, b)
         # the CLI's draw i depends only on (seed, i)
-        mt = make_mt(rician_k=3.0, rician_omega=1.0)
-        longer = _fading_power(mt, 99, 10)
-        assert np.array_equal(_fading_power(mt, 99, 10), longer)
-        assert np.array_equal(_fading_power(mt, 99, 4), longer[:4])
+        longer = _fading_power(3.0, 1.0, 99, 10)
+        assert np.array_equal(_fading_power(3.0, 1.0, 99, 10), longer)
+        assert np.array_equal(_fading_power(3.0, 1.0, 99, 4), longer[:4])
 
 
 class TestUplinkSnrAndRate:

@@ -286,6 +286,9 @@ class TestBatchedIterative:
         assert {len(t) for t, inside in zip(res.trace, interior)
                 if inside} == {steps}
 
+    # the pole divides by zero; no reduced coefficients the CLI builds have
+    # e < 0, so nothing else may warn
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_instance_whose_sign_rises_keeps_the_batch_exact(self,
                                                              monkeypatch):
         # e < 0 puts a pole at alpha = 0.5 where dR/dalpha jumps from below

@@ -15,7 +15,14 @@ from hrvlc.errors import (
     GeometryError,
     NoCoverageError,
 )
-from hrvlc.scenario import _AP, _entries, _sum_others, link_geometry
+from hrvlc.scenario import (
+    _AP,
+    _MT,
+    ApTable,
+    _entries,
+    _sum_others,
+    link_geometry,
+)
 
 from conftest import make_ap, make_mt, make_scenario
 from oracles import (
@@ -24,6 +31,7 @@ from oracles import (
     channel_gain,
     harvest_term_reference,
     link_reference,
+    mt_rows,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -55,10 +63,10 @@ class TestLoadScenario:
     def test_minimal_roundtrip(self):
         scn = load_scenario(json.dumps(MINIMAL))
         assert scn.aps.power.size == 1
-        assert len(scn.mts) == 1
+        assert scn.mts.fov.size == 1
         assert scn.params.b_v == 1e7
         assert scn.aps.half_angle[0] == pytest.approx(math.radians(60))
-        assert scn.mts[0].fov == pytest.approx(math.radians(70))
+        assert scn.mts.fov[0] == pytest.approx(math.radians(70))
 
     def test_malformed_json(self):
         with pytest.raises(ConfigParseError):
@@ -117,7 +125,7 @@ class TestLoadScenario:
 
 class TestLinkGeometry:
     def test_vertical_link(self):
-        assert link_geometry((2.0, 2.0, 3.0), make_mt(2, 2, 1)) == (2.0, 1.0)
+        assert link_geometry((2.0, 2.0, 3.0), (2.0, 2.0, 1.0)) == (2.0, 1.0)
 
     def test_oblique_link_matches_coordinate_oracle(self):
         # oracle: plain numpy vector arithmetic on the raw coordinates
@@ -127,7 +135,7 @@ class TestLinkGeometry:
         d_expect = np.linalg.norm(diff)
         cos_expect = diff[2] / d_expect
 
-        d, cos_phi = link_geometry((0.0, 0.0, 3.0), make_mt(2, 0, 1))
+        d, cos_phi = link_geometry((0.0, 0.0, 3.0), (2.0, 0.0, 1.0))
         assert d == pytest.approx(d_expect, rel=1e-15)
         assert d == pytest.approx(math.sqrt(8), rel=1e-15)
         assert cos_phi == pytest.approx(cos_expect, rel=1e-15)
@@ -135,38 +143,39 @@ class TestLinkGeometry:
 
     def test_colocated_is_degenerate(self):
         with pytest.raises(GeometryError):
-            link_geometry((2.0, 2.0, 3.0), make_mt(2, 2, 3))
+            link_geometry((2.0, 2.0, 3.0), (2.0, 2.0, 3.0))
 
     def test_ap_below_mt_is_degenerate(self):
         with pytest.raises(GeometryError):
-            link_geometry((2.0, 2.0, 1.0), make_mt(2, 2, 2))
+            link_geometry((2.0, 2.0, 1.0), (2.0, 2.0, 2.0))
 
     @given(r=st.floats(0, 3), theta=st.floats(0, 2 * math.pi),
            dz=st.floats(0.5, 2.5))
     def test_rotation_about_ap_axis_is_invariant(self, r, theta, dz):
         ap = (0.0, 0.0, 3.0)
-        base = link_geometry(ap, make_mt(r, 0.0, 3 - dz))
+        base = link_geometry(ap, (r, 0.0, 3 - dz))
         rotated = link_geometry(
-            ap, make_mt(r * math.cos(theta), r * math.sin(theta), 3 - dz))
+            ap, (r * math.cos(theta), r * math.sin(theta), 3 - dz))
         assert rotated[0] == pytest.approx(base[0], rel=1e-12)
         assert rotated[1] == pytest.approx(base[1], rel=1e-12)
 
     @given(x=st.floats(-3, 3), y=st.floats(-3, 3), dz=st.floats(0.1, 2.9))
     @example(x=0.0, y=0.0, dz=0.1143118198284669)
     def test_cosine_in_unit_interval_and_distance_bound(self, x, y, dz):
-        ap, mt = (0.0, 0.0, 3.0), make_mt(x, y, 3 - dz)
+        ap, mt = (0.0, 0.0, 3.0), (x, y, 3 - dz)
         d, cos_phi = link_geometry(ap, mt)
         assert 0 < cos_phi <= 1
         # the drop the geometry sees, which rounds away from dz; since
         # sqrt(fl(x*x)) == |x|, the distance bounds it exactly
-        drop = ap[2] - mt.position.z
+        drop = ap[2] - mt[2]
         assert d >= drop
 
     def test_batch_matches_link_by_link_reference(self):
         aps = [make_ap(0.5, 0.5, 3.0), make_ap(2.0, 2.0, 3.0),
                make_ap(4.8, 0.1, 2.5), make_ap(1.1, 3.3, 3.0)]
         mt = make_mt(2.2, 1.9, 1)
-        d, cos_angle = link_geometry(make_scenario(aps=aps).aps.position, mt)
+        d, cos_angle = link_geometry(make_scenario(aps=aps).aps.position,
+                                     mt.position)
         assert list(zip(d.tolist(), cos_angle.tolist())) == [
             link_reference(ap, mt) for ap in aps]
 
@@ -179,7 +188,7 @@ class TestLinkGeometry:
         later = (3.0, 2.0, 0.5) if bad[0] == 2.0 else (2.0, 2.0, 1.0)
         with pytest.raises(GeometryError) as exc:
             link_geometry([(2.0, 2.0, 3.0), bad, (1.0, 1.0, 3.0), later],
-                          make_mt(2, 2, 1))
+                          (2.0, 2.0, 1.0))
         assert str(exc.value) == message
 
 
@@ -206,7 +215,7 @@ class TestAssociate:
             aps=[make_ap(0.5, 0.5, 3), make_ap(2, 2, 3), make_ap(4, 4, 3)],
             mts=[make_mt(2.2, 1.9, 1)])
         chosen = associate(scn, 0).serving
-        gains = [channel_gain(ap, scn.mts[0]).value
+        gains = [channel_gain(ap, mt_rows(scn.mts)[0]).value
                  for ap in ap_rows(scn.aps)]
         assert gains[chosen] == max(gains)
 
@@ -214,7 +223,7 @@ class TestAssociate:
         scn = make_scenario(
             aps=[make_ap(0.5, 0.5, 3), make_ap(2, 2, 3), make_ap(4.8, 4.8, 3)],
             mts=[make_mt(2.2, 1.9, 1, fov=math.radians(55))])
-        mt = scn.mts[0]
+        mt = mt_rows(scn.mts)[0]
         powers = [ap.power * channel_gain(ap, mt).value
                   for ap in ap_rows(scn.aps)]
         assoc = associate(scn, 0)
@@ -253,7 +262,7 @@ class TestAssociateReference:
         # c and k2 as an explicit acc += x loop in AP order adds them
         scn = load_scenario(json.dumps(generate_hall(seed, heldout, 16, 16,
                                                      24)))
-        assert len(scn.mts) == 16
+        assert scn.mts.fov.size == 16
         for j in range(16):
             assert repr(associate(scn, j)) == repr(associate_reference(scn, j))
 
@@ -289,6 +298,8 @@ ABOVE_90 = math.nextafter(90.0, 100.0)
 ABOVE_4 = math.nextafter(4.0, 5.0)     # just past the 4 m room side
 # the least half angle [deg] whose cosine, in radians, rounds below 1
 LEAST_HALF_ANGLE = 6.037091348628667e-07
+# the least FOV [deg] whose sine, in radians, squares to more than 0
+LEAST_FOV = 9.005336860690714e-161
 
 # (section, key, loaded attribute, range message, just outside, just inside);
 # a room side just inside its bound would leave the entries outside the room
@@ -309,7 +320,7 @@ FIELDS = [
     ("mts", "T_s", "filter_gain", "must be > 0", [0, -TINY], [TINY]),
     ("mts", "n_c", "refractive_index", "must be >= 1", [BELOW_1], [1]),
     ("mts", "fov_deg", "fov", "must be in (0, 90]",
-     [0, ABOVE_90], [TINY, 90]),
+     [0, ABOVE_90], [LEAST_FOV, 90]),
     ("mts", "C_jRF", "conv_coeff", "must be in (0, 1]",
      [0, ABOVE_1], [TINY, 1]),
     ("mts", "rho_j", "oe_efficiency", "must be in (0, 1]",
@@ -387,6 +398,12 @@ def _fault_cases():
         case(("aps", 1, "half_angle_deg"), value, "aps[1].half_angle_deg",
              "too small: its cosine rounds to 1",
              f"aps[1].half_angle_deg={value!r}")
+    # likewise for the concentrator gain: 5e-324 degrees is 0 radians, the
+    # float below LEAST_FOV has a sine that squares to 0
+    for value in (TINY, 1e-300, math.nextafter(LEAST_FOV, 0.0)):
+        case(("mts", 1, "fov_deg"), value, "mts[1].fov_deg",
+             "too small: its sine squared rounds to 0",
+             f"mts[1].fov_deg={value!r}")
 
     for where, field in [((), "<root>"), (("room",), "room"),
                          (("params",), "params"), (("aps", 1), "aps[1]"),
@@ -438,7 +455,7 @@ class TestFaultTable:
 
     def test_base_config_loads(self):
         scn = load_scenario(json.dumps(TWO_OF_EACH))
-        assert (scn.aps.power.size, len(scn.mts), scn.bv_sweep) == (
+        assert (scn.aps.power.size, scn.mts.fov.size, scn.bv_sweep) == (
             2, 2, (5e6, 1e7))
 
     @pytest.mark.parametrize("where, value, field, message", _fault_cases())
@@ -467,11 +484,10 @@ class TestFaultTable:
         for section, key, attr, _, _, inside in FIELDS for value in inside])
     def test_bound_just_inside_loads(self, section, key, attr, value):
         scn = load_scenario(json.dumps(_patched(_where(section, key), value)))
-        if section == "aps":
-            loaded = getattr(scn.aps, attr).tolist()[1]
+        if section == "params":
+            loaded = getattr(scn.params, attr)
         else:
-            loaded = getattr({"params": scn.params,
-                              "mts": scn.mts[1]}[section], attr)
+            loaded = getattr(getattr(scn, section), attr).tolist()[1]
         expect = math.radians(value) if key.endswith("_deg") else float(value)
         assert loaded == expect
         assert type(loaded) is float
@@ -523,13 +539,70 @@ class TestApArrayPath:
         assert str(exc.value) == error
 
     def test_loaded_columns_match_the_walker(self):
-        # every AP value as the row walker reads it, in radians
+        # every AP and MT value as the row walker reads it, in radians
         text = json.dumps(generate_hall(1, True, 16, 16, 24))
         scn = load_scenario(text)
         doc = json.loads(text, parse_int=float)
         room = tuple(doc["room"][k] for k in "xyz")
-        rows = _entries(doc["aps"], _AP, "aps", room)
-        assert ap_rows(scn.aps) == [
-            (kw["position"], kw["power"], kw["half_angle"]) for kw in rows]
+        for section, table, rows in [("aps", _AP, ap_rows(scn.aps)),
+                                     ("mts", _MT, mt_rows(scn.mts))]:
+            walked = _entries(doc[section], table, section, room)
+            assert rows == [tuple(kw[name] for name in rows[0]._fields)
+                            for kw in walked]
         assert all(not column.flags.writeable for column in (
-            scn.aps.position, scn.aps.power, scn.aps.half_angle, scn.aps.m))
+            scn.aps.position, scn.aps.power, scn.aps.half_angle, scn.aps.m,
+            scn.mts.position, scn.mts.fov, scn.mts.rf_distance, scn.mts.g))
+
+
+def test_table_refuses_a_column_it_has_no_field_for():
+    with pytest.raises(TypeError) as exc:
+        ApTable([2.0, 2.0, 3.0], power=[3.0], half_angle=[1.0], area=[1.0])
+    assert str(exc.value) == (
+        "ApTable takes the columns ['position', 'power', 'half_angle']")
+
+
+class TestMtArrayPath:
+    """The array checks of a 16-MT hall name the first bad MT as the walker.
+
+    mts[11] carries an unknown key, which the walker checks before any
+    field, so a check that ran fault kind by fault kind over all MTs would
+    name mts[11] instead.
+    """
+
+    @pytest.mark.parametrize("fault, error", [
+        (lambda mt: mt.pop("rho"), "mts[3].rho: missing"),
+        (lambda mt: mt.update(zz=1.0), "mts[3]: unknown keys ['zz']"),
+        (lambda mt: mt.update(rician_K=True),
+         "mts[3].rician_K: must be a number"),
+        (lambda mt: mt.update(fov_deg="60"),
+         "mts[3].fov_deg: must be a number"),
+        (lambda mt: mt.update(pathloss_exp=math.nan),
+         "mts[3].pathloss_exp: must be finite"),
+        (lambda mt: mt.update(C_jRF=ABOVE_1),
+         "mts[3].C_jRF: must be in (0, 1]"),
+        (lambda mt: mt["pos"].__setitem__(1, 40.0 + 1e-9),
+         "mts[3].pos: position outside room bounds"),
+    ], ids=["missing", "unknown", "bool", "string", "nan", "out-of-range",
+            "outside-room"])
+    def test_names_the_first_bad_mt(self, fault, error):
+        doc = generate_hall(2, False, 16, 16, 24)
+        assert len(doc["mts"]) == 16 and doc["room"]["y"] == 40.0
+        fault(doc["mts"][3])
+        doc["mts"][11]["yy"] = 1.0
+        with pytest.raises(ConfigValidationError) as exc:
+            load_scenario(json.dumps(doc))
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("second, error", [
+        ({"fov_deg": 1e-200},
+         "mts[3].fov_deg: too small: its sine squared rounds to 0"),
+        ({"rho": -1.0}, "mts[11].rho: must be > 0"),
+    ], ids=["both-too-small", "field-fault-first"])
+    def test_too_small_after_every_field(self, second, error):
+        # the concentrator gain is checked once every MT's fields have passed
+        doc = generate_hall(2, False, 16, 16, 24)
+        doc["mts"][3]["fov_deg"] = 1e-170
+        doc["mts"][11].update(second)
+        with pytest.raises(ConfigValidationError) as exc:
+            load_scenario(json.dumps(doc))
+        assert str(exc.value) == error
