@@ -1,8 +1,10 @@
 """Monte-Carlo study of the optimal split across Rician fading draws."""
 
+import csv
+import sys
 from pathlib import Path
 
-from hrvlc.cli import cmd_montecarlo
+from hrvlc import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "two_ap_room.json"
@@ -12,12 +14,18 @@ OUT = ROOT / "out"
 def main():
     OUT.mkdir(exist_ok=True)
     csv_path = OUT / "fading_study.csv"
-    report = cmd_montecarlo(str(CONFIG), mt_index=0, n_draws=5000, seed=7,
-                            out_path=str(csv_path))
-    mean_row, std_row = report.rows[-2], report.rows[-1]
-    print(f"alpha*: mean {mean_row[2]:.6f}, std {std_row[2]:.3g}")
-    print(f"R*:     mean {mean_row[3]:.6g}, std {std_row[3]:.3g}")
-    print(f"wrote {csv_path} ({report.wall_time:.3f}s)")
+    code = cli.main(["montecarlo", "--config", str(CONFIG), "--mt", "0",
+                     "--draws", "5000", "--seed", "7", "--out", str(csv_path)])
+    if code:
+        sys.exit(code)
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        stats = {row["draw_index"]: row for row in csv.DictReader(fh)}
+    mean, std = stats["mean"], stats["std"]
+    print(f"alpha*: mean {float(mean['alpha_star']):.6f}, "
+          f"std {float(std['alpha_star']):.3g}")
+    print(f"R*:     mean {float(mean['R_star']):.6g}, "
+          f"std {float(std['R_star']):.3g}")
+    print(f"wrote {csv_path}")
 
 
 if __name__ == "__main__":

@@ -9,12 +9,10 @@ from previously written CSVs.
 import argparse
 import csv
 import functools
-import hashlib
 import itertools
 import math
 import sys
-import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,17 +20,9 @@ from .errors import (ConfigValidationError, ConvergenceError, HrvlcError,
                      MalformedCsvError)
 from .harvest_uplink import harvested_energy, rician_envelope
 from .objective import reduce_coefficients, total_rate
-from .optimizer import grid_oracle, solve_closed_form, solve_iterative
+from .optimizer import (DEFAULT_EPS, grid_oracle, solve_closed_form,
+                        solve_iterative)
 from .scenario import associate, load_scenario
-
-
-@dataclass(frozen=True)
-class RunReport:
-    command: str
-    digest: str      # sha256 of the config file's bytes
-    seed: int
-    rows: tuple
-    wall_time: float
 
 
 def _write_csv(out_path, header, template, rows, tail=""):
@@ -40,12 +30,6 @@ def _write_csv(out_path, header, template, rows, tail=""):
     body = "".join([template % row for row in rows])
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines([header, "\n", body, tail])
-
-
-def _load(config_path):
-    with open(config_path, "rb") as fh:
-        raw = fh.read()
-    return load_scenario(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
 
 
 def _fading_power(k, omega, seed, n_draws):
@@ -63,24 +47,28 @@ def _fading_power(k, omega, seed, n_draws):
 
 
 def _prepare(config_path, mt_index, seed, n_draws=None):
-    """(scenario, digest, association, h_sq, coefficients) of one terminal.
+    """(scenario, association, h_sq, coefficients) of one terminal.
 
     h_sq is fading draw 0 as a float, or with n_draws an array of draws
     0..n_draws-1.
     """
-    scn, digest = _load(config_path)
+    with open(config_path, "rb") as fh:
+        scn = load_scenario(fh.read().decode("utf-8"))
     n_mts = len(scn.mts.position)
     if not 0 <= mt_index < n_mts:
         raise ValueError(f"--mt must be in [0, {n_mts})")
     assoc = associate(scn, mt_index)
     fade = scn.mts.row(mt_index, "rician_k", "rician_omega")
-    if n_draws is None:
-        h_sq = float(_fading_power(*fade, seed, 1)[0])
-    else:
-        h_sq = _fading_power(*fade, seed, n_draws)
-    coeffs = reduce_coefficients(scn, mt_index, assoc, h_sq)
+    # a fade past the float range leaves an inf or nan rate: _check_rates
+    # names it, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_draws is None:
+            h_sq = float(_fading_power(*fade, seed, 1)[0])
+        else:
+            h_sq = _fading_power(*fade, seed, n_draws)
+        coeffs = reduce_coefficients(scn, mt_index, assoc, h_sq)
     _check_rates(coeffs, mt_index)
-    return scn, digest, assoc, h_sq, coeffs
+    return scn, assoc, h_sq, coeffs
 
 
 def _check_rates(coeffs, mt_index):
@@ -106,25 +94,21 @@ def _check_rates(coeffs, mt_index):
 
 def cmd_sweep(config_path, mt_index, n_points, seed, out_path):
     """Rate components on a uniform alpha grid for one fading draw."""
-    start = time.perf_counter()
     if n_points < 2:
         raise ValueError("--points must be >= 2")
-    _, digest, assoc, _, coeffs = _prepare(config_path, mt_index, seed)
+    _, assoc, _, coeffs = _prepare(config_path, mt_index, seed)
     ev = total_rate(coeffs, np.linspace(0.0, 1.0, n_points))
     e_h = harvested_energy(assoc, ev.alpha)
     cols = (ev.alpha, ev.total, ev.downlink_term, ev.uplink_term, e_h)
-    rows = list(zip(*(col.tolist() for col in cols)))
     _write_csv(out_path, "alpha,R_total,R_d_term,R_u_term,E_H",
-               "%.17g,%.17g,%.17g,%.17g,%.17g\n", rows)
-    return RunReport("sweep", digest, seed, tuple(rows),
-                     time.perf_counter() - start)
+               "%.17g,%.17g,%.17g,%.17g,%.17g\n",
+               zip(*(col.tolist() for col in cols)))
 
 
 def cmd_solve(config_path, mt_index, method, seed, out_path,
-              eps=1e-9, n_points=10001):
+              eps=DEFAULT_EPS, n_points=10001):
     """Single optimal-alpha solve by one of the three solver routes."""
-    start = time.perf_counter()
-    _, digest, _, _, coeffs = _prepare(config_path, mt_index, seed)
+    _, _, _, coeffs = _prepare(config_path, mt_index, seed)
     if method in ("closed", "iter"):
         res = (solve_closed_form(coeffs) if method == "closed"
                else solve_iterative(coeffs, eps=eps))
@@ -137,14 +121,11 @@ def cmd_solve(config_path, mt_index, method, seed, out_path,
         raise ValueError(f"unknown method {method!r}")
     _write_csv(out_path, "alpha_star,R_star,lambda,mu,method,iterations",
                "%.17g,%.17g,%.17g,%.17g,%s,%d\n", [row])
-    return RunReport("solve", digest, seed, (row,),
-                     time.perf_counter() - start)
 
 
 def cmd_converge(config_path, mt_index, eps, seed, out_path):
     """Bisection traces, one block per VLC bandwidth in the config sweep list."""
-    start = time.perf_counter()
-    scn, digest, _, _, coeffs = _prepare(config_path, mt_index, seed)
+    scn, _, _, coeffs = _prepare(config_path, mt_index, seed)
     # association does not depend on B_v: swap only b = N0*B_v and b1 = B_v
     b_v = np.array(scn.bv_sweep or (scn.params.b_v,))
     coeffs = replace(coeffs, b=scn.params.n0 * b_v, b1=b_v)
@@ -155,27 +136,21 @@ def cmd_converge(config_path, mt_index, eps, seed, out_path):
         # boundary binding: one iteration, no bisection residual
         rows.extend(trace or [(1, alpha, 0.0)])
     _write_csv(out_path, "iteration,alpha,residual", "%d,%.17g,%.17g\n", rows)
-    return RunReport("converge", digest, seed, tuple(rows),
-                     time.perf_counter() - start)
 
 
 def cmd_montecarlo(config_path, mt_index, n_draws, seed, out_path):
     """Per-fading-draw solves plus mean/std summary rows."""
-    start = time.perf_counter()
     if n_draws < 1:
         raise ValueError("--draws must be >= 1")
-    _, digest, _, h_sq, coeffs = _prepare(config_path, mt_index, seed, n_draws)
+    _, _, h_sq, coeffs = _prepare(config_path, mt_index, seed, n_draws)
     res = solve_closed_form(coeffs)
     alphas = res.kkt.alpha
-    rows = list(zip(range(n_draws), h_sq.tolist(), alphas.tolist(),
-                    res.rate.tolist()))
-    summary = [(stat, "", float(f(alphas)), float(f(res.rate)))
+    rows = zip(range(n_draws), h_sq.tolist(), alphas.tolist(),
+               res.rate.tolist())
+    summary = ["%s,,%.17g,%.17g\n" % (stat, f(alphas), f(res.rate))
                for stat, f in (("mean", np.mean), ("std", np.std))]
     _write_csv(out_path, "draw_index,h_sq,alpha_star,R_star",
-               "%d,%.17g,%.17g,%.17g\n", rows,
-               "".join(["%s,%s,%.17g,%.17g\n" % row for row in summary]))
-    return RunReport("montecarlo", digest, seed, tuple(rows + summary),
-                     time.perf_counter() - start)
+               "%d,%.17g,%.17g,%.17g\n", rows, "".join(summary))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -198,7 +173,7 @@ def _read_numeric_csv(csv_path):
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
         try:
             table = list(filter(None, csv.reader(fh)))
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise MalformedCsvError(f"{csv_path}: {exc}") from exc
     if len(table) < 2:
         raise MalformedCsvError(f"{csv_path}: no data rows")
@@ -346,12 +321,12 @@ def build_parser():
     common(p)
     p.add_argument("--method", choices=("closed", "iter", "grid"),
                    default="closed")
-    p.add_argument("--eps", type=float, default=1e-9)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--points", type=int, default=10001)
 
     p = sub.add_parser("converge", help="bisection trace per VLC bandwidth")
     common(p)
-    p.add_argument("--eps", type=float, default=1e-9)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
 
     p = sub.add_parser("montecarlo", help="solve across fading draws")
     common(p)

@@ -5,6 +5,7 @@ report lines.
 """
 
 import contextlib
+import csv
 import math
 import time
 
@@ -64,6 +65,12 @@ def instances(n, seed):
     return out
 
 
+def csv_rows(path):
+    """The data rows of a CSV the CLI wrote, as lists of strings."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
 def is_unimodal(values):
     peak = values.index(max(values))
     rising = all(x <= y for x, y in zip(values[:peak], values[1:peak + 1]))
@@ -80,8 +87,8 @@ def test_criterion_1_concavity(tmp_path):
             assert np.all(second <= 0.0)
         for config in (TWO_AP, SINGLE_AP):
             out = tmp_path / "sweep.csv"
-            report = cmd_sweep(config, 0, 201, 7, str(out))
-            totals = [row[1] for row in report.rows]
+            cmd_sweep(config, 0, 201, 7, str(out))
+            totals = [float(row[1]) for row in csv_rows(out)]
             assert is_unimodal(totals)
         assert time.perf_counter() - start < 10.0
 
@@ -147,11 +154,12 @@ def test_criterion_5_convergence_shape(tmp_path):
     with criterion(5, "convergence shape"):
         eps = 1e-9
         out = tmp_path / "conv.csv"
-        report = cmd_converge(TWO_AP, 0, eps, 7, str(out))
+        cmd_converge(TWO_AP, 0, eps, 7, str(out))
         blocks = []
         current = []
         prev = None
-        for iteration, alpha, residual in report.rows:
+        for row in csv_rows(out):
+            iteration, alpha, residual = int(row[0]), *map(float, row[1:])
             if prev is not None and iteration <= prev:
                 blocks.append(current)
                 current = []

@@ -71,9 +71,11 @@ class TestSameBytesAsReference:
         config = tmp_path / "hall.json"
         config.write_text(json.dumps(generate_hall(2, False, 16, 16, 24)))
         csv_path = tmp_path / "conv.csv"
-        rows = cmd_converge(str(config), 1, 1e-9, 7, str(csv_path)).rows
+        cmd_converge(str(config), 1, 1e-9, 7, str(csv_path))
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
         # 24 blocks, 16 of them a single boundary row, more than the palette
-        starts = [i for i, row in enumerate(rows) if row[0] == 1]
+        starts = [i for i, row in enumerate(rows) if row[0] == "1"]
         lengths = [b - a for a, b in zip(starts, starts[1:] + [len(rows)])]
         assert len(lengths) == 24 and lengths.count(1) == 16
         assert_matches_reference(csv_path)
@@ -168,6 +170,16 @@ class TestFirstError:
         assert main(["chart", "--csv", str(path), "--out", str(svg)]) == 1
         assert capsys.readouterr().err == (
             f"error: {path}: field larger than field limit (131072)\n")
+        assert not svg.exists()
+
+    def test_bytes_past_utf8_name_the_csv(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"a,b\n0,1\n\xff,2\n")
+        svg = tmp_path / "x.svg"
+        assert main(["chart", "--csv", str(path), "--out", str(svg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in "
+            "position 8: invalid start byte\n")
         assert not svg.exists()
 
 
