@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (ConfigValidationError, ConvergenceError, HrvlcError,
                      MalformedCsvError)
 from .harvest_uplink import harvested_energy, rician_envelope
-from .objective import reduce_coefficients, total_rate
+from .objective import downlink_log_term, reduce_coefficients, total_rate
 from .optimizer import (DEFAULT_EPS, grid_oracle, solve_closed_form,
                         solve_iterative)
 from .scenario import associate, load_scenario
@@ -82,14 +82,13 @@ def _check_rates(coeffs, mt_index):
     with np.errstate(all="ignore"):
         links = (
             ("downlink rate B_v*log2(1 + P_T*G/(N0*B_v + interference))",
-             coeffs.b1, np.divide(coeffs.a, coeffs.b + coeffs.c)),
+             downlink_log_term(coeffs)),
             ("uplink rate B_r*log2(1 + E_H*|h|^2/(T_u*N0*rf_distance"
-             "^pathloss_exp))", coeffs.b2,
-             np.divide(coeffs.d + coeffs.e, coeffs.g)))
-        for name, bandwidth, snr in links:
-            if not np.isfinite(bandwidth * np.log2(1.0 + snr)).all():
-                raise ConfigValidationError(f"mts[{mt_index}]",
-                                            f"{name} is not finite")
+             "^pathloss_exp))", total_rate(coeffs, 0.0).uplink_term))
+    for name, rate in links:
+        if not np.isfinite(rate).all():
+            raise ConfigValidationError(f"mts[{mt_index}]",
+                                        f"{name} is not finite")
 
 
 def cmd_sweep(config_path, mt_index, n_points, seed, out_path):
@@ -301,7 +300,9 @@ def _write_svg(out_path, x, y, bounds, y_lo, y_span, names, x_label,
         fh.write("\n".join(parts) + "\n")
 
 
-def build_parser():
+@functools.cache
+def _parser():
+    # parse_args leaves the parser as it was, so one serves every main call
     parser = argparse.ArgumentParser(
         prog="hrvlc",
         description="Hybrid RF/VLC joint uplink-downlink rate optimizer")
@@ -336,12 +337,6 @@ def build_parser():
     p.add_argument("--csv", required=True)
     p.add_argument("--out", required=True)
     return parser
-
-
-@functools.cache
-def _parser():
-    # parse_args leaves the parser as it was, so one serves every main call
-    return build_parser()
 
 
 def main(argv=None):

@@ -14,9 +14,10 @@ import numpy as np
 def _libm(fn, x, *y):
     """The math module's ``fn(x)`` or ``fn(x, y)``, element by element.
 
-    numpy's SIMD pow, log2 and cos can differ from libm in the last ulp, and
-    libm's values fix the CSV bytes of every command.  ``x`` gives the shape:
-    a scalar gives a float, and ``y`` is a scalar or an array shaped as x.
+    numpy's SIMD pow, log2, cos and sin can differ from libm in the last ulp,
+    and libm's values fix the CSV bytes of every command.  ``x`` gives the
+    shape: a scalar gives a float, and ``y`` is a scalar or an array shaped
+    as x.
     """
     if not getattr(x, "ndim", 0):
         return fn(x, *y)

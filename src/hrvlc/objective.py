@@ -64,8 +64,10 @@ def reduce_coefficients(scn, mt_index, assoc, h_sq):
 
 
 def downlink_log_term(coeffs):
-    """The alpha-independent downlink factor b1*log2(1 + a/(b+c))."""
-    return coeffs.b1 * _libm(math.log2, 1.0 + coeffs.a / (coeffs.b + coeffs.c))
+    """The alpha-independent downlink factor b1*log2(1 + a/(b+c)); with
+    b + c = 0 it is inf or nan, as numpy divides."""
+    return coeffs.b1 * _libm(math.log2,
+                             1.0 + np.divide(coeffs.a, coeffs.b + coeffs.c))
 
 
 def total_rate(coeffs, alpha):

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .objective import (LN2, _uplink_curvature, _uplink_denominator,
-                        _uplink_slope, downlink_log_term, total_rate)
+from .objective import (LN2, _uplink_curvature, _uplink_slope,
+                        downlink_log_term, total_rate)
 
 DEFAULT_EPS = 1e-9
-DEFAULT_MAX_ITER = 200
+MAX_ITER = 200  # bisection steps before a ConvergenceError
 _GRID_LEVELS = 6  # bisection steps resolved per evaluation on a grid
 
 
@@ -100,7 +100,7 @@ def _stop_step(eps):
     return max(2, 1 - math.frexp(eps)[1])
 
 
-def solve_iterative(coeffs, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER):
+def solve_iterative(coeffs, eps=DEFAULT_EPS):
     """Bisection on the strictly decreasing derivative over [0, 1].
 
     Coefficients may be batched along one axis, as for the closed form; a
@@ -113,8 +113,6 @@ def solve_iterative(coeffs, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER):
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be finite and > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     big_a = downlink_log_term(coeffs)
     at_zero, at_one = _slopes_at_bounds(coeffs, big_a)
     # boundary binding: the bound the derivative points at, or the tie rule
@@ -122,8 +120,7 @@ def solve_iterative(coeffs, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER):
     interior = np.logical_not((at_zero <= 0.0) | (at_one >= 0.0))
     traces = ((),) * interior.size
     if interior.any():
-        mids, widths, steps = _bisect(coeffs, big_a, interior.ravel(), eps,
-                                      max_iter)
+        mids, widths, steps = _bisect(coeffs, big_a, interior.ravel(), eps)
         # a boundary instance reads some midpoint, and its polish is dropped
         last = mids[steps - 1, np.arange(steps.size)].reshape(interior.shape)
         alpha = np.where(interior, _newton_polish(coeffs, big_a, last),
@@ -135,18 +132,15 @@ def solve_iterative(coeffs, eps=DEFAULT_EPS, max_iter=DEFAULT_MAX_ITER):
     return _finish(coeffs, kkt, traces if interior.ndim else traces[0])
 
 
-def _bisect(coeffs, big_a, live, eps, max_iter):
+def _bisect(coeffs, big_a, live, eps):
     """Lockstep bisection of every instance of a 1-d batch.
 
     Returns the midpoints and the bracket widths, one row per step and one
     column per instance, and the step at which each ``live`` instance
     stopped (0 for the others).
     """
-    pull = coeffs.b2 * coeffs.d / LN2
-
     def rising(alpha):
-        # dR/dalpha > 0, as _uplink_slope with its numerator computed once
-        return big_a > pull / _uplink_denominator(coeffs, alpha)
+        return big_a > _uplink_slope(coeffs, alpha)  # dR/dalpha > 0
 
     # Through step 53 the midpoints are exact: after k steps the bracket is
     # [lo, lo + 2**-k] with lo a multiple of 2**-k, and no instance stops
@@ -157,8 +151,8 @@ def _bisect(coeffs, big_a, live, eps, max_iter):
     first = min(_stop_step(eps), 54)
     lo = np.zeros(live.shape)
     k = 0
-    while k < min(first - 1, max_iter):
-        levels = min(_GRID_LEVELS, first - 1 - k, max_iter - k)
+    while k < first - 1:
+        levels = min(_GRID_LEVELS, first - 1 - k)
         step = 0.5 ** (k + levels)
         up = rising(lo + step * np.arange(1.0, 2 ** levels)[:, None])
         if np.any(up[1:] > up[:-1]):
@@ -173,7 +167,7 @@ def _bisect(coeffs, big_a, live, eps, max_iter):
     prev = mids[0][k - 1] if k else None
     pending = live.copy()
     steps = np.zeros(live.shape, dtype=int)
-    for k in range(k + 1, max_iter + 1):
+    for k in range(k + 1, MAX_ITER + 1):
         mid = 0.5 * (lo + hi)
         up = rising(mid)
         lo = np.where(up, mid, lo)
@@ -187,7 +181,7 @@ def _bisect(coeffs, big_a, live, eps, max_iter):
             if not pending.any():
                 return np.vstack(mids), np.vstack(widths), steps
         prev = mid
-    raise ConvergenceError(f"bisection did not converge in {max_iter} iterations")
+    raise ConvergenceError(f"bisection did not converge in {MAX_ITER} iterations")
 
 
 def _newton_polish(coeffs, big_a, alpha, steps=2):

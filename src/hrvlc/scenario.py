@@ -283,10 +283,7 @@ def _columns(entries, table, section, room):
                     cells = None
     if cells is None:
         _entries(entries, table, section, room)  # raises at the first bad one
-    for k in angles:
-        # an angle that converts to 0 radians keeps the least positive one,
-        # which the table then refuses as too small, as any angle too small
-        cells[k] = np.maximum(np.radians(cells[k]), 5e-324)
+    cells[angles] = np.radians(cells[angles])
     return dict(zip(names, cells[3:].tolist()), position=cells[:3].T)
 
 
@@ -371,15 +368,12 @@ def _lambertian_order(half_angle):
     An angle whose cosine rounds to 1 has no finite order: the first such AP
     is named in a ConfigValidationError.
     """
-    half_angle = np.asarray(half_angle).ravel().tolist()
-    if not all(0 < h < math.pi / 2 for h in half_angle):
-        raise ValueError("half_angle must be in (0, pi/2)")
-    log_cos = list(map(math.log2, map(math.cos, half_angle)))
-    if not all(log_cos):
-        i = log_cos.index(0.0)
+    log_cos = _libm(math.log2, _libm(math.cos, np.ravel(half_angle)))
+    if not log_cos.all():
+        i = int(np.argmax(log_cos == 0.0))
         raise ConfigValidationError(f"aps[{i}].half_angle_deg",
                                     "too small: its cosine rounds to 1")
-    return -1.0 / np.array(log_cos)
+    return -1.0 / log_cos
 
 
 def _concentrator_gain(n_c, fov):
@@ -390,17 +384,13 @@ def _concentrator_gain(n_c, fov):
     is inf: a rate built from it is not finite, and the CLI refuses the
     terminal.
     """
-    n_c = np.asarray(n_c).ravel().tolist()
-    fov = np.asarray(fov).ravel().tolist()
-    if not all(n >= 1 for n in n_c):
-        raise ValueError("refractive index must be >= 1")
-    if not all(0 < f <= math.pi / 2 for f in fov):
-        raise ValueError("fov must be in (0, pi/2]")
-    sin_sq = [math.sin(f) ** 2 for f in fov]
-    if not all(sin_sq):
-        raise ConfigValidationError(f"mts[{sin_sq.index(0.0)}].fov_deg",
+    sin_sq = _libm(_pow, _libm(math.sin, np.ravel(fov)), 2.0)
+    if not sin_sq.all():
+        i = int(np.argmax(sin_sq == 0.0))
+        raise ConfigValidationError(f"mts[{i}].fov_deg",
                                     "too small: its sine squared rounds to 0")
-    return np.array([n * n / s for n, s in zip(n_c, sin_sq)])
+    with np.errstate(over="ignore"):
+        return n_c * n_c / sin_sq
 
 
 def _sum_others(values, skip):

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import functools
 import io
 import json
 import math
@@ -22,7 +21,6 @@ import hrvlc.optimizer
 import hrvlc.scenario
 from hrvlc import load_scenario
 from hrvlc.cli import (
-    build_parser,
     cmd_chart,
     cmd_converge,
     cmd_montecarlo,
@@ -270,15 +268,17 @@ class TestMainExitCodes:
                                       ["converge"]])
     def test_step_budget_below_k_eps_is_three(self, tmp_path, capsys,
                                               monkeypatch, argv):
-        # eps 1e-9 needs K = 30 steps; cut the budget of 200 to 29
-        monkeypatch.setattr(hrvlc.cli, "solve_iterative", functools.partial(
-            hrvlc.optimizer.solve_iterative, max_iter=29))
+        # eps 1e-9 needs K = 30 steps: a budget of 29 exits 3, 30 passes
+        monkeypatch.setattr(hrvlc.optimizer, "MAX_ITER", 29)
         out = tmp_path / "x.csv"
         assert main(argv + ["--config", TWO_AP, "--mt", "0",
                             "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
             "error: bisection did not converge in 29 iterations\n")
         assert not out.exists()
+        monkeypatch.setattr(hrvlc.optimizer, "MAX_ITER", 30)
+        assert main(argv + ["--config", TWO_AP, "--mt", "0",
+                            "--out", str(out)]) == 0
 
     def test_bad_mt_index_is_one(self, tmp_path):
         assert main(["solve", "--config", TWO_AP, "--mt", "5",
@@ -365,11 +365,12 @@ class TestMainExitCodes:
         assert not out.exists()
 
     # Each field in range, but past what float64 carries, on the single-AP
-    # room: a half angle whose cosine rounds to 1; a FOV whose sine squares
-    # to 0, or that is 0 in radians; an uplink noise product T_u*N0*d^n that
-    # underflows to 0; a noise floor so far below the signal that the
-    # downlink SINR overflows; a link so short that d^4 underflows to 0 in
-    # the harvest term; a power whose square P_T^2 overflows.
+    # room: a half angle whose cosine rounds to 1, or that is 0 in radians;
+    # a FOV whose sine squares to 0, or that is 0 in radians; an uplink noise
+    # product T_u*N0*d^n that underflows to 0; a noise floor so far below
+    # the signal that the downlink SINR overflows, or that is 0; a link so
+    # short that d^4 underflows to 0 in the harvest term; a power whose
+    # square P_T^2 overflows.
     @pytest.mark.parametrize("patch, error", [
         pytest.param({"aps": {"half_angle_deg": 1e-7}},
                      "aps[0].half_angle_deg: too small: its cosine rounds "
@@ -380,6 +381,9 @@ class TestMainExitCodes:
         pytest.param({"mts": {"fov_deg": 5e-324}},
                      "mts[0].fov_deg: too small: its sine squared rounds "
                      "to 0", id="fov-zero-radians"),
+        pytest.param({"aps": {"half_angle_deg": 5e-324}},
+                     "aps[0].half_angle_deg: too small: its cosine rounds "
+                     "to 1", id="half-angle-zero-radians"),
         pytest.param({"params": {"N0": 1e-300, "T_u": 1e-30}},
                      "mts[0]: uplink rate B_r*log2(1 + E_H*|h|^2/(T_u*N0*"
                      "rf_distance^pathloss_exp)) is not finite",
@@ -387,6 +391,10 @@ class TestMainExitCodes:
         pytest.param({"params": {"N0": 1e-320}},
                      "mts[0]: downlink rate B_v*log2(1 + P_T*G/(N0*B_v + "
                      "interference)) is not finite", id="sinr-overflow"),
+        # N0*B_v is 0.0 and there is no interferer: b + c = 0
+        pytest.param({"params": {"N0": 5e-324, "B_v": 0.5}},
+                     "mts[0]: downlink rate B_v*log2(1 + P_T*G/(N0*B_v + "
+                     "interference)) is not finite", id="noise-floor-zero"),
         pytest.param({"aps": {"pos": [2.0, 2.0, 2e-100]},
                       "mts": {"pos": [2.0, 2.0, 1e-100]}},
                      "mts[0]: uplink rate B_r*log2(1 + E_H*|h|^2/(T_u*N0*"
@@ -615,7 +623,8 @@ class TestReusedParser:
 
         shared = [run(argv) for argv in calls]
         assert hrvlc.cli._parser() is hrvlc.cli._parser()
-        monkeypatch.setattr(hrvlc.cli, "_parser", build_parser)
+        monkeypatch.setattr(hrvlc.cli, "_parser",
+                            hrvlc.cli._parser.__wrapped__)
         fresh = [run(argv) for argv in calls]
         assert shared == fresh
         assert shared[2] == (("SystemExit", 2), None)

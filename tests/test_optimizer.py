@@ -174,8 +174,6 @@ class TestIterative:
         for eps in (0.0, -1e-9, math.nan, math.inf):
             with pytest.raises(ValueError):
                 solve_iterative(INTERIOR, eps=eps)
-        with pytest.raises(ValueError):
-            solve_iterative(INTERIOR, max_iter=0)
 
 
 class TestGridOracle:
@@ -296,28 +294,32 @@ class TestBatchedIterative:
         pole = make_coeffs(a=3, b=1, c=0, d=2, e=-2, g=1, b1=1, b2=1)
         singles = [INTERIOR, pole]
         row_calls = []
-        denominator = hrvlc.optimizer._uplink_denominator
+        slope = hrvlc.optimizer._uplink_slope
 
         def counted(coeffs, alpha):
             row_calls.append(np.ndim(alpha) == 1)
-            return denominator(coeffs, alpha)
+            return slope(coeffs, alpha)
 
-        monkeypatch.setattr(hrvlc.optimizer, "_uplink_denominator", counted)
+        monkeypatch.setattr(hrvlc.optimizer, "_uplink_slope", counted)
         res = solve_iterative(batch_of(singles), eps=1e-9)
         assert_matches_reference(res, singles, 1e-9)
-        # the grid's rising sign sends every step down the one-at-a-time path
-        assert sum(row_calls) == 30
+        # the grid's rising sign sends every step down the one-at-a-time
+        # path; the Newton polish takes two more
+        assert sum(row_calls) == 30 + 2
         row_calls.clear()
         solve_iterative(batch_of([INTERIOR, INTERIOR]), eps=1e-9)
-        assert sum(row_calls) == 1
+        assert sum(row_calls) == 1 + 2
 
     @pytest.mark.parametrize("batch", [False, True])
-    def test_step_budget_below_k_eps_raises(self, batch):
+    def test_step_budget_below_k_eps_raises(self, monkeypatch, batch):
         singles = [INTERIOR, make_coeffs(a=0.0)]
         coeffs = batch_of(singles) if batch else INTERIOR
         with pytest.raises(ConvergenceError):
             solve_iterative_reference(INTERIOR, eps=1e-9, max_iter=29)
-        with pytest.raises(ConvergenceError):
-            solve_iterative(coeffs, eps=1e-9, max_iter=29)
-        res = solve_iterative(coeffs, eps=1e-9, max_iter=30)
+        monkeypatch.setattr(hrvlc.optimizer, "MAX_ITER", 29)
+        with pytest.raises(ConvergenceError,
+                           match="did not converge in 29 iterations"):
+            solve_iterative(coeffs, eps=1e-9)
+        monkeypatch.setattr(hrvlc.optimizer, "MAX_ITER", 30)
+        res = solve_iterative(coeffs, eps=1e-9)
         assert len(res.trace[0] if batch else res.trace) == 30
