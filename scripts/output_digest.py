@@ -5,8 +5,9 @@
 PATH is a checkout of this repository: its ``src/hrvlc`` is the code that
 runs. The inputs come from the checkout holding this script: both shipped
 configs and the first eight terminals of the seeded 256-AP hall that the
-benchmark's room-dense workload builds. Each terminal runs, for seeds 0, 7
-and 987654, ``sweep`` at 1001 points, ``solve`` by each method,
+benchmark's room-dense workload builds. Each terminal runs, for seeds 0, 7,
+987654 and 2**64 + 3 (three uint32 entropy words, [3, 0, 1], where the
+others take one), ``sweep`` at 1001 points, ``solve`` by each method,
 ``converge`` with eps 1e-9 and 1e-3, and ``montecarlo`` with 1 and 200
 draws; the two-AP room's terminal also runs ``montecarlo`` with 20000 draws
 and ``converge`` with eps 1e-300, past the bits of its midpoints. Every
@@ -31,7 +32,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from workloads import generate_hall  # noqa: E402
 
-SEEDS = (0, 7, 987654)
+SEEDS = (0, 7, 987654, 2 ** 64 + 3)
 HALL_TERMINALS = 8
 CALLS = (
     ("sweep", ["sweep", "--points", "1001"]),

@@ -37,11 +37,22 @@ def _fading_power(k, omega, seed, n_draws):
     Rician factor and E|h|^2 of the fade.
 
     Draw i owns the generator ``default_rng([seed, i])`` and takes its
-    (real, imaginary) normal pair from one ``standard_normal(2)`` call.
+    (real, imaginary) normal pair from its first two standard normals.  The
+    generator is seeded from the uint32 words SeedSequence reads ``[seed, i]``
+    as: seed's little-endian 32-bit words (one 0 word for seed 0), then i,
+    which is one word for i < 2**32.  A uint32 array is taken as it is, so
+    numpy skips converting the Python list for every draw.
     """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")  # as numpy says
+    n_words = max(1, (seed.bit_length() + 31) // 32)
+    entropy = np.empty((n_draws, n_words + 1), np.uint32)
+    entropy[:, :-1] = np.frombuffer(seed.to_bytes(4 * n_words, "little"),
+                                    "<u4")
+    entropy[:, -1] = np.arange(n_draws)
     pairs = np.empty((n_draws, 2))
-    for i in range(n_draws):
-        pairs[i] = np.random.default_rng([seed, i]).standard_normal(2)
+    for words, pair in zip(entropy, pairs):
+        np.random.default_rng(words).standard_normal(out=pair)
     h = rician_envelope(k, omega, pairs[:, 0], pairs[:, 1])
     return h * h
 
@@ -50,7 +61,8 @@ def _prepare(config_path, mt_index, seed, n_draws=None):
     """(scenario, association, h_sq, coefficients) of one terminal.
 
     h_sq is fading draw 0 as a float, or with n_draws an array of draws
-    0..n_draws-1.
+    0..n_draws-1.  The rates are not checked: each command passes the
+    coefficients it solves to ``_check_rates``.
     """
     with open(config_path, "rb") as fh:
         scn = load_scenario(fh.read().decode("utf-8"))
@@ -67,7 +79,6 @@ def _prepare(config_path, mt_index, seed, n_draws=None):
         else:
             h_sq = _fading_power(*fade, seed, n_draws)
         coeffs = reduce_coefficients(scn, mt_index, assoc, h_sq)
-    _check_rates(coeffs, mt_index)
     return scn, assoc, h_sq, coeffs
 
 
@@ -96,6 +107,7 @@ def cmd_sweep(config_path, mt_index, n_points, seed, out_path):
     if n_points < 2:
         raise ValueError("--points must be >= 2")
     _, assoc, _, coeffs = _prepare(config_path, mt_index, seed)
+    _check_rates(coeffs, mt_index)
     ev = total_rate(coeffs, np.linspace(0.0, 1.0, n_points))
     e_h = harvested_energy(assoc, ev.alpha)
     cols = (ev.alpha, ev.total, ev.downlink_term, ev.uplink_term, e_h)
@@ -108,6 +120,7 @@ def cmd_solve(config_path, mt_index, method, seed, out_path,
               eps=DEFAULT_EPS, n_points=10001):
     """Single optimal-alpha solve by one of the three solver routes."""
     _, _, _, coeffs = _prepare(config_path, mt_index, seed)
+    _check_rates(coeffs, mt_index)
     if method in ("closed", "iter"):
         res = (solve_closed_form(coeffs) if method == "closed"
                else solve_iterative(coeffs, eps=eps))
@@ -141,7 +154,10 @@ def cmd_montecarlo(config_path, mt_index, n_draws, seed, out_path):
     """Per-fading-draw solves plus mean/std summary rows."""
     if n_draws < 1:
         raise ValueError("--draws must be >= 1")
+    if n_draws > 2 ** 32:  # a draw index past one uint32 entropy word
+        raise ValueError("--draws must be <= 4294967296")
     _, _, h_sq, coeffs = _prepare(config_path, mt_index, seed, n_draws)
+    _check_rates(coeffs, mt_index)
     res = solve_closed_form(coeffs)
     alphas = res.kkt.alpha
     rows = zip(range(n_draws), h_sq.tolist(), alphas.tolist(),

@@ -49,8 +49,10 @@ def harvested_energy(consts, alpha):
 
 
 def _check_alpha(alpha):
-    alpha = np.asarray(alpha)
-    if not np.all((alpha >= 0.0) & (alpha <= 1.0)):  # NaN fails too
+    # a float or an array compares as it is; a list only as an array
+    if not isinstance(alpha, (float, np.ndarray)):
+        alpha = np.asarray(alpha)
+    if not np.logical_and(0.0 <= alpha, alpha <= 1.0).all():  # NaN fails too
         raise ValueError("alpha must be in [0, 1]")
 
 

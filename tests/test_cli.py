@@ -14,12 +14,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import integrate, stats
 
 import hrvlc.cli
 import hrvlc.harvest_uplink
 import hrvlc.optimizer
 import hrvlc.scenario
-from hrvlc import load_scenario
+from hrvlc import (
+    associate,
+    load_scenario,
+    reduce_coefficients,
+    solve_closed_form,
+)
 from hrvlc.cli import (
     cmd_chart,
     cmd_converge,
@@ -203,6 +209,29 @@ class TestMonteCarlo:
         _, rows = read_rows(out)
         assert float(rows[-1][2]) <= 1e-9  # std of alpha_star
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mean_rate_matches_the_rice_quadrature(self, tmp_path, seed):
+        # the law of the draws, not their bytes: the mean R* of 20000 draws
+        # against E[R*(|h|^2)] over scipy's Rice law, b = sqrt(2K) and
+        # scale = sqrt(omega/(2(1+K)))
+        scn = load_scenario(Path(TWO_AP).read_text(encoding="utf-8"))
+        assoc = associate(scn, 0)
+        k, omega = scn.mts.row(0, "rician_k", "rician_omega")
+        dist = stats.rice(math.sqrt(2 * k),
+                          scale=math.sqrt(omega / (2 * (1 + k))))
+
+        def weighted_rate(r):
+            coeffs = reduce_coefficients(scn, 0, assoc, r * r)
+            return solve_closed_form(coeffs).rate * dist.pdf(r)
+
+        want, _ = integrate.quad(weighted_rate, 0, np.inf, epsabs=0,
+                                 epsrel=1e-10)
+        out = tmp_path / "mc.csv"
+        cmd_montecarlo(TWO_AP, 0, 20000, seed, str(out))
+        _, rows = read_rows(out)
+        mean, std = float(rows[-2][3]), float(rows[-1][3])
+        assert abs(mean - want) / (std / math.sqrt(20000)) < 4.0
+
     def test_reproducible_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         cmd_montecarlo(TWO_AP, 0, 20, 7, str(a))
@@ -279,6 +308,22 @@ class TestMainExitCodes:
         monkeypatch.setattr(hrvlc.optimizer, "MAX_ITER", 30)
         assert main(argv + ["--config", TWO_AP, "--mt", "0",
                             "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv, error", [
+        pytest.param([command, "--seed", "-1"],
+                     "expected non-negative integer", id=f"{command}-seed")
+        for command in ("sweep", "solve", "converge", "montecarlo")] + [
+        # draw 2**32 would need a second uint32 word for its index
+        pytest.param(["montecarlo", "--draws", str(2 ** 32 + 1)],
+                     "--draws must be <= 4294967296", id="montecarlo-draws"),
+    ])
+    def test_seed_and_draws_past_the_entropy_words_are_one(
+            self, tmp_path, capsys, argv, error):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--config", TWO_AP, "--mt", "0",
+                            "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
 
     def test_bad_mt_index_is_one(self, tmp_path):
         assert main(["solve", "--config", TWO_AP, "--mt", "5",
@@ -515,16 +560,47 @@ class TestMainExitCodes:
             "interference)) is not finite\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["sweep", "--points"],
-                                      ["montecarlo", "--draws"]],
-                             ids=["points", "draws"])
-    def test_oversized_array_is_one(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_each_route_checks_the_rates_it_solves(self, tmp_path, capsys,
+                                                   route):
+        # the config's own B_v leaves a downlink SINR past the floats, the
+        # swept ones do not: converge solves only the swept bandwidths
+        doc = json.loads(Path(SINGLE_AP).read_text(encoding="utf-8"))
+        doc["params"].update(N0=1e-300, T_u=1.0, B_v=1e-20)
+        doc["mts"][0]["rf_distance"] = 1e100
+        doc["sweep"] = {"B_v": [1e6, 1e10]}
+        cfg = tmp_path / "swept_bandwidths.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(route + ["--config", str(cfg), "--mt", "0",
+                                 "--out", str(out)])
+        err = capsys.readouterr().err
+        if route == ["converge"]:
+            assert (code, err) == (0, "")
+            header, rows = read_rows(out)
+            assert header == ["iteration", "alpha", "residual"] and rows
+        else:
+            assert code == 1
+            assert err == ("error: mts[0]: downlink rate B_v*log2(1 + P_T*G/"
+                           "(N0*B_v + interference)) is not finite\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        pytest.param(["sweep", "--points"], "error: Unable to allocate ",
+                     id="points"),
+        # the draw count's bound comes first
+        pytest.param(["montecarlo", "--draws"],
+                     "error: --draws must be <= 4294967296\n", id="draws"),
+    ])
+    def test_oversized_array_is_one(self, tmp_path, capsys, argv, error):
         # 10**15 float64 take 8 PB, past the address space: refused at once
         out = tmp_path / "x.csv"
         assert main(argv + [str(10 ** 15), "--config", SINGLE_AP, "--mt", "0",
                             "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: Unable to allocate ")
+        assert err.startswith(error)
         assert err.count("\n") == 1 and err.endswith("\n")
         assert not out.exists()
 
@@ -699,6 +775,14 @@ class TestBatchedFading:
     def test_matches_the_draw_by_draw_reference(self, k, n_draws):
         got = hrvlc.cli._fading_power(k, 1.7, 11, n_draws)
         want = [fading_power_reference(k, 1.7, 11, i) for i in range(n_draws)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 11, 2 ** 32 - 1, 2 ** 32,
+                                      2 ** 64 + 3])
+    def test_every_seed_width_matches_the_reference(self, seed):
+        # the seed's uint32 words: one 0 word for 0, then one, two or three
+        got = hrvlc.cli._fading_power(0.7, 1.7, seed, 300)
+        want = [fading_power_reference(0.7, 1.7, seed, i) for i in range(300)]
         assert got.tobytes() == np.array(want).tobytes()
 
     def test_one_fade_is_draw_zero_as_a_float(self):
