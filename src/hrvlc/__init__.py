@@ -1,6 +1,6 @@
 """Joint uplink-downlink rate optimization for an indoor hybrid RF/VLC link."""
 
-from .harvest_uplink import harvested_energy, rician_envelope
+from .harvest_uplink import rician_envelope
 from .objective import reduce_coefficients, total_rate
 from .optimizer import grid_oracle, solve_closed_form, solve_iterative
 from .scenario import associate, load_scenario
@@ -8,7 +8,6 @@ from .scenario import associate, load_scenario
 __all__ = [
     "associate",
     "grid_oracle",
-    "harvested_energy",
     "load_scenario",
     "reduce_coefficients",
     "rician_envelope",

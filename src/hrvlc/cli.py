@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (ConfigValidationError, ConvergenceError, HrvlcError,
                      MalformedCsvError)
-from .harvest_uplink import harvested_energy, rician_envelope
+from .harvest_uplink import rician_envelope
 from .objective import downlink_log_term, reduce_coefficients, total_rate
 from .optimizer import (DEFAULT_EPS, grid_oracle, solve_closed_form,
                         solve_iterative)
@@ -109,7 +109,7 @@ def cmd_sweep(config_path, mt_index, n_points, seed, out_path):
     _, assoc, _, coeffs = _prepare(config_path, mt_index, seed)
     _check_rates(coeffs, mt_index)
     ev = total_rate(coeffs, np.linspace(0.0, 1.0, n_points))
-    e_h = harvested_energy(assoc, ev.alpha)
+    e_h = (1.0 - ev.alpha) * assoc.k1 + assoc.k2
     cols = (ev.alpha, ev.total, ev.downlink_term, ev.uplink_term, e_h)
     _write_csv(out_path, "alpha,R_total,R_d_term,R_u_term,E_H",
                "%.17g,%.17g,%.17g,%.17g,%.17g\n",
@@ -121,16 +121,15 @@ def cmd_solve(config_path, mt_index, method, seed, out_path,
     """Single optimal-alpha solve by one of the three solver routes."""
     _, _, _, coeffs = _prepare(config_path, mt_index, seed)
     _check_rates(coeffs, mt_index)
-    if method in ("closed", "iter"):
+    # argparse admits only the methods closed, iter and grid
+    if method == "grid":
+        alpha, rate = grid_oracle(coeffs, n_points)
+        row = (alpha, rate, 0.0, 0.0, method, 0)
+    else:
         res = (solve_closed_form(coeffs) if method == "closed"
                else solve_iterative(coeffs, eps=eps))
         row = (res.kkt.alpha, res.rate, res.kkt.lam, res.kkt.mu, method,
                res.iterations)
-    elif method == "grid":
-        alpha, rate = grid_oracle(coeffs, n_points)
-        row = (alpha, rate, 0.0, 0.0, method, 0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     _write_csv(out_path, "alpha_star,R_star,lambda,mu,method,iterations",
                "%.17g,%.17g,%.17g,%.17g,%s,%d\n", [row])
 

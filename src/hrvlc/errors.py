@@ -21,10 +21,6 @@ class ConfigValidationError(HrvlcError):
         super().__init__(f"{field}: {message}")
 
 
-class GeometryError(HrvlcError):
-    """Degenerate or invalid link geometry (zero distance, AP below MT)."""
-
-
 class NoCoverageError(HrvlcError):
     """Every AP yields zero channel gain for the terminal."""
 

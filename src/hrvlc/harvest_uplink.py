@@ -42,20 +42,6 @@ def _harvest_term(power, d, cos_phi, m):
             * _libm(_pow, cos_phi, 2.0 * m))
 
 
-def harvested_energy(consts, alpha):
-    """(1 - alpha)*k1 + k2 of an ``Association``; alpha may be an array."""
-    _check_alpha(alpha)
-    return (1.0 - alpha) * consts.k1 + consts.k2
-
-
-def _check_alpha(alpha):
-    # a float or an array compares as it is; a list only as an array
-    if not isinstance(alpha, (float, np.ndarray)):
-        alpha = np.asarray(alpha)
-    if not np.logical_and(0.0 <= alpha, alpha <= 1.0).all():  # NaN fails too
-        raise ValueError("alpha must be in [0, 1]")
-
-
 def rician_envelope(k, omega, x, y):
     """Envelope |h| of Rician factor k and E|h|^2 = omega from normal pairs.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harvest_uplink import _check_alpha, _libm, _pow
+from .harvest_uplink import _libm, _pow
 
 LN2 = math.log(2.0)
 
@@ -68,6 +68,14 @@ def downlink_log_term(coeffs):
     b + c = 0 it is inf or nan, as numpy divides."""
     return coeffs.b1 * _libm(math.log2,
                              1.0 + np.divide(coeffs.a, coeffs.b + coeffs.c))
+
+
+def _check_alpha(alpha):
+    # a float or an array compares as it is; a list only as an array
+    if not isinstance(alpha, (float, np.ndarray)):
+        alpha = np.asarray(alpha)
+    if not np.logical_and(0.0 <= alpha, alpha <= 1.0).all():  # NaN fails too
+        raise ValueError("alpha must be in [0, 1]")
 
 
 def total_rate(coeffs, alpha):

@@ -19,46 +19,36 @@ import numpy as np
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
-    GeometryError,
     NoCoverageError,
 )
 from .harvest_uplink import _harvest_term, _libm, _pow
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class _Columns:
     """Devices of one kind as read-only float columns, one row per device.
 
-    A table is built from its positions and its other init columns, named
-    as its fields; those are copied into one float array, and the columns
-    that are not init fields are worked out from them by ``_derived``.
+    A table is built from its init fields, named as its columns; each is
+    copied into a float array, and the columns that are not init fields are
+    worked out from them by ``_derived``.
     """
 
     position: np.ndarray    # (n, 3) coordinates [m]
 
-    def __init__(self, position, **columns):
-        position = np.array(position, dtype=float).reshape(-1, 3)
-        block = np.array(list(columns.values()), dtype=float)
-        if block.shape != (len(columns), len(position)):
-            raise ValueError(f"{type(self).__name__} columns must have one "
-                             "row per device")
-        block.setflags(write=False)  # and so each row taken from it
+    def __post_init__(self):
         # past the frozen dataclass's __setattr__
-        vars(self).update(zip(columns, block), position=position)
-        derived = self._derived()
-        for column in (position, *derived.values()):
+        vars(self).update({f.name: np.array(getattr(self, f.name), float)
+                           for f in fields(self) if f.init})
+        vars(self).update(self._derived())
+        for column in vars(self).values():
             column.setflags(write=False)
-        vars(self).update(derived)
-        if vars(self).keys() != self.__dataclass_fields__.keys():
-            inputs = [f.name for f in fields(self) if f.init]
-            raise TypeError(f"{type(self).__name__} takes the columns {inputs}")
 
     def row(self, index, *names):
         """The named columns of device ``index``, as Python floats."""
         return [getattr(self, name).item(index) for name in names]
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class ApTable(_Columns):
     """Ceiling LED luminaires acting as downlink access points.
 
@@ -74,7 +64,7 @@ class ApTable(_Columns):
         return {"m": _lambertian_order(self.half_angle)}
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class MtTable(_Columns):
     """User devices: photodiode receiver, light harvester, RF transmitter.
 
@@ -284,7 +274,7 @@ def _columns(entries, table, section, room):
     if cells is None:
         _entries(entries, table, section, room)  # raises at the first bad one
     cells[angles] = np.radians(cells[angles])
-    return dict(zip(names, cells[3:].tolist()), position=cells[:3].T)
+    return dict(zip(names, cells[3:]), position=cells[:3].T)
 
 
 def load_scenario(config_text):
@@ -347,19 +337,12 @@ def link_geometry(position, mt):
     ``mt`` the terminal's (x, y, z); one link is a batch of one.  APs point
     straight down and the photodiode faces straight up, so the irradiance
     and incidence angles coincide and their one cosine is the vertical drop
-    over the Euclidean distance.  A bad link raises for the first one in AP
-    order.
+    over the Euclidean distance.
     """
     diff = np.subtract(position, mt)
     sq = diff * diff
     d = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
-    dz = diff[..., 2]
-    linked = np.minimum(d, dz) > 0
-    if not linked.all():
-        if np.ravel(d)[np.argmin(linked)] == 0:
-            raise GeometryError("AP and MT are colocated (zero link distance)")
-        raise GeometryError("AP must be strictly above the MT plane")
-    return d, dz / d
+    return d, diff[..., 2] / d
 
 
 def _lambertian_order(half_angle):

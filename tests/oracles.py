@@ -3,10 +3,11 @@
 The package optimizes the reduced objective R(alpha).  These functions
 rebuild the same quantities link by link from the scenario, in Python
 floats, so tests can check the reduction and the one-array-pass
-association against them bit for bit; give the checked first and second
-derivatives of R over the solvers' kernels; give the Rician envelope
-density and a reference sampler that the fading draws are checked against;
-and give the unconstrained stationary point that the solvers clamp.  The
+association against them bit for bit; give the harvested energy that
+``sweep`` writes, the checked first and second derivatives of R over the
+solvers' kernels, the Rician envelope density and a reference sampler
+that the fading draws are checked against, and the unconstrained
+stationary point that the solvers clamp.  The
 cell-by-cell CSV writer and the point-by-point chart renderer are the
 references that the CLI's row-template writer and its array-pass chart
 must match byte for byte.  The draw-by-draw fading power
@@ -22,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i0e
 
-from hrvlc import harvested_energy, total_rate
+from hrvlc import total_rate
 from hrvlc.errors import (ConvergenceError, HrvlcError, MalformedCsvError,
                           NoCoverageError)
-from hrvlc.harvest_uplink import _check_alpha
 from hrvlc.objective import (
+    _check_alpha,
     _uplink_curvature,
     _uplink_slope,
     downlink_log_term,
@@ -138,6 +139,13 @@ def rate_second_derivative(coeffs, alpha):
     """d2R/dalpha2 from the solvers' unchecked kernel; never positive."""
     _check_alpha(alpha)
     return _uplink_curvature(coeffs, alpha)
+
+
+def harvested_energy(consts, alpha):
+    """E_H(alpha) = (1 - alpha)*k1 + k2 of an ``Association``, as ``sweep``
+    writes its E_H column; alpha may be a float, an array or a list."""
+    _check_alpha(alpha)
+    return (1.0 - np.asarray(alpha)) * consts.k1 + consts.k2
 
 
 @dataclass(frozen=True)

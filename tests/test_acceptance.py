@@ -15,7 +15,6 @@ from scipy import integrate, stats
 
 from hrvlc import (
     associate,
-    harvested_energy,
     reduce_coefficients,
     solve_closed_form,
     solve_iterative,
@@ -35,6 +34,7 @@ from oracles import (
     Ap,
     Mt,
     downlink_rate,
+    harvested_energy,
     rate_derivative,
     rate_second_derivative,
     rician_pdf,

@@ -1,4 +1,5 @@
 import hrvlc
+import hrvlc.cli
 
 
 def test_public_names_are_pinned():
@@ -6,7 +7,6 @@ def test_public_names_are_pinned():
     assert hrvlc.__all__ == [
         "associate",
         "grid_oracle",
-        "harvested_energy",
         "load_scenario",
         "reduce_coefficients",
         "rician_envelope",
@@ -15,3 +15,9 @@ def test_public_names_are_pinned():
         "total_rate",
     ]
     assert all(callable(getattr(hrvlc, name)) for name in hrvlc.__all__)
+
+
+def test_every_public_name_is_one_the_cli_binds():
+    # a function only tests call has no place in the API
+    assert [name for name in hrvlc.__all__
+            if getattr(hrvlc, name) is not getattr(hrvlc.cli, name, None)] == []

@@ -36,7 +36,8 @@ from hrvlc.cli import (
 )
 
 from conftest import CONFIG_DIR
-from oracles import fading_power_reference, write_csv_reference
+from oracles import (fading_power_reference, harvested_energy,
+                     write_csv_reference)
 
 TWO_AP = str(CONFIG_DIR / "two_ap_room.json")
 SINGLE_AP = str(CONFIG_DIR / "single_ap_room.json")
@@ -104,6 +105,21 @@ class TestSweep:
         value = rows[1][1]
         digits = re.sub(r"[^0-9]", "", value.split("e")[0]).lstrip("0")
         assert len(digits) >= 16  # 17 sig digits unless trailing zeros trimmed
+
+    @pytest.mark.parametrize("config", [SINGLE_AP, TWO_AP],
+                             ids=["single-ap", "two-ap"])
+    def test_harvest_column_is_the_affine_form(self, tmp_path, config):
+        # E_H = (1 - alpha)*k1 + k2 of the terminal's association, bit for bit
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", config, "--mt", "0",
+                     "--points", "101", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        alpha, e_h = np.array([[float(r[0]), float(r[4])] for r in rows]).T
+        with open(config, encoding="utf-8") as fh:
+            assoc = associate(load_scenario(fh.read()), 0)
+        assert e_h.tolist() == harvested_energy(assoc, alpha).tolist()
+        assert e_h[0] == assoc.k1 + assoc.k2
+        assert e_h[-1] == assoc.k2
 
 
 class TestSolve:
@@ -367,6 +383,32 @@ class TestMainExitCodes:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == \
             "error: aps[1].pos[2]: AP must be above MT mts[1]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "converge",
+                                         "montecarlo"])
+    @pytest.mark.parametrize("layout", [("near",), ("dark", "lit"),
+                                        ("lit", "dark")],
+                             ids=["near", "dark-first", "dark-second"])
+    def test_link_distance_rounding_to_zero_is_one(self, tmp_path, capsys,
+                                                   command, layout):
+        # the loader admits an AP 1e-170 m straight above its terminal, and
+        # the distance squared underflows: that link's gain is inf, so it
+        # serves, and the rate guard refuses the terminal
+        doc = json.loads(open(SINGLE_AP, encoding="utf-8").read())
+        doc["mts"][0]["pos"] = [2.0, 2.0, 0.0]
+        lit = doc["aps"][0]
+        near = dict(lit, pos=[2.0, 2.0, 1e-170])
+        aps = {"near": near, "dark": dict(near, P_T=0.0), "lit": lit}
+        doc["aps"] = [aps[name] for name in layout]
+        cfg = tmp_path / "near.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--mt", "0",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: mts[0]: downlink rate B_v*log2(1 + P_T*G/(N0*B_v + "
+            "interference)) is not finite\n")
         assert not out.exists()
 
     def test_huge_integer_is_one(self, tmp_path, capsys):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from hrvlc import associate, harvested_energy, rician_envelope
+from hrvlc import associate, rician_envelope, total_rate
 from hrvlc.cli import _fading_power
-from hrvlc.harvest_uplink import _check_alpha
+from hrvlc.objective import _check_alpha
 
-from conftest import make_ap, make_mt, make_params, make_scenario
+from conftest import make_ap, make_coeffs, make_mt, make_params, make_scenario
 from oracles import (
     HarvestConstants,
     harvest_term_reference,
+    harvested_energy,
     rician_pdf,
     rician_reference,
     uplink_budget,
@@ -55,6 +56,9 @@ class TestHarvestConstants:
 
 
 class TestHarvestedEnergy:
+    """E_H(alpha) through the oracle, and the one alpha check, which
+    ``total_rate`` runs."""
+
     def test_full_decoding_no_interferers_harvests_nothing(self):
         assert harvested_energy(HarvestConstants(2e-6, 0.0), 1.0) == 0.0
 
@@ -66,19 +70,23 @@ class TestHarvestedEnergy:
         assert harvested_energy(HarvestConstants(2e-6, 5e-7), 0.25) == \
             pytest.approx(2e-6, rel=1e-12)
 
-    # the one alpha check of total_rate and harvested_energy, on every shape
+    # the one alpha check, on every shape
     @pytest.mark.parametrize("alpha", [
         -0.1, 1.1, math.nan, -5e-324, 1.0000000000000002, 2,
         np.float64(-0.5), [0.5, math.nan], [0.0, 1.5], np.array([0.2, -1.0]),
         np.array(math.nan)])
     def test_alpha_domain(self, alpha):
         with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\]"):
-            harvested_energy(HarvestConstants(1.0, 0.0), alpha)
+            total_rate(make_coeffs(), alpha)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.0, 1.0, 0, 1, [0.0, 1.0],
                                        np.array([]), np.array(0.5)])
     def test_alpha_check_takes_its_bounds(self, alpha):
         assert _check_alpha(alpha) is None
+
+    def test_list_alpha_reads_as_an_array(self):
+        assert harvested_energy(HarvestConstants(2e-6, 5e-7),
+                                [0.0, 1.0]).tolist() == [2e-6 + 5e-7, 5e-7]
 
     def test_affine_with_slope_k1(self):
         consts = HarvestConstants(3.2e-6, 1.1e-7)
