@@ -140,6 +140,15 @@ class TestLinkGeometry:
         assert cos_phi == pytest.approx(cos_expect, rel=1e-15)
         assert cos_phi == pytest.approx(2 / math.sqrt(8), rel=1e-15)
 
+    def test_ap_below_mt_is_degenerate(self):
+        # link_geometry trusts the loader to put every AP above every MT
+        doc = config_with()
+        doc["aps"][0]["pos"] = [2.0, 2.0, 1.0]
+        doc["mts"][0]["pos"] = [2.0, 2.0, 2.0]
+        with pytest.raises(ConfigValidationError) as exc:
+            load_scenario(json.dumps(doc))
+        assert str(exc.value) == "aps[0].pos[2]: AP must be above MT mts[0]"
+
     @given(r=st.floats(0, 3), theta=st.floats(0, 2 * math.pi),
            dz=st.floats(0.5, 2.5))
     def test_rotation_about_ap_axis_is_invariant(self, r, theta, dz):
@@ -169,6 +178,21 @@ class TestLinkGeometry:
                                      mt.position)
         assert list(zip(d.tolist(), cos_angle.tolist())) == [
             link_reference(ap, mt) for ap in aps]
+
+    @pytest.mark.parametrize("bad, rule", [
+        ((2.0, 2.0, 1.0), "AP and MT are colocated (zero link distance)"),
+        ((3.0, 2.0, 1.0), "AP must be strictly above the MT plane"),
+    ])
+    def test_batch_names_the_first_bad_link(self, bad, rule):
+        # the loader refuses an AP at the terminal's height, colocated or
+        # not; a lower AP later in the list is not the one named
+        doc = config_with()
+        rows = [(2.0, 2.0, 3.0), bad, (1.0, 1.0, 3.0), (2.0, 2.0, 0.5)]
+        doc["aps"] = [dict(doc["aps"][0], pos=list(pos)) for pos in rows]
+        with pytest.raises(ConfigValidationError) as exc:
+            load_scenario(json.dumps(doc))
+        assert str(exc.value) == (
+            "aps[1].pos[2]: AP must be above MT mts[0]"), rule
 
 
 class TestAssociate:
