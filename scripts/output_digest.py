@@ -8,8 +8,9 @@ configs and the first eight terminals of the seeded 256-AP hall that the
 benchmark's room-dense workload builds. Each terminal runs, for seeds 0, 7,
 987654 and 2**64 + 3 (three uint32 entropy words, [3, 0, 1], where the
 others take one), ``sweep`` at 1001 points, ``solve`` by each method,
-``converge`` with eps 1e-9 and 1e-3, and ``montecarlo`` with 1 and 200
-draws; the two-AP room's terminal also runs ``montecarlo`` with 20000 draws
+``converge`` with eps 1e-9, 1e-3, 2**-53 and 1e-16 (2**-53 stops at step
+53, the last whose midpoints are exact; 1e-16 steps past it), and
+``montecarlo`` with 1 and 200 draws; the two-AP room's terminal also runs ``montecarlo`` with 20000 draws
 and ``converge`` with eps 1e-300, past the bits of its midpoints. Every
 sweep and eps 1e-9 converge CSV is then charted. Two checkouts that write
 the same bytes print the same digest, so a change that promises identical
@@ -41,6 +42,8 @@ CALLS = (
     ("solve-grid", ["solve", "--method", "grid"]),
     ("converge", ["converge"]),
     ("converge-1e-3", ["converge", "--eps", "1e-3"]),
+    ("converge-2^-53", ["converge", "--eps", "1.1102230246251565e-16"]),
+    ("converge-1e-16", ["converge", "--eps", "1e-16"]),
     ("montecarlo-1", ["montecarlo", "--draws", "1"]),
     ("montecarlo-200", ["montecarlo", "--draws", "200"]),
 )

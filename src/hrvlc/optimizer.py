@@ -4,8 +4,9 @@ R is concave with a strictly decreasing derivative whenever the harvest
 coefficient d is positive, so the box-constrained maximization reduces to
 clamping the unique stationary point.  The closed form works element by
 element on batched coefficients.  The iterative route bisects the
-derivative sign change instead, every instance of a batch in lockstep; the
-grid oracle brute-forces the objective and is kept deliberately
+derivative sign change instead: one step loop, every instance of a batch
+in lockstep, each stopping once two consecutive midpoints are within eps.
+The grid oracle brute-forces the objective and is kept deliberately
 independent of both.
 """
 
@@ -20,7 +21,6 @@ from .objective import (LN2, _uplink_curvature, _uplink_slope,
 
 DEFAULT_EPS = 1e-9
 MAX_ITER = 200  # bisection steps before a ConvergenceError
-_GRID_LEVELS = 6  # bisection steps resolved per evaluation on a grid
 
 
 @dataclass(frozen=True)
@@ -90,16 +90,6 @@ def solve_closed_form(coeffs):
         alpha, *_slopes_at_bounds(coeffs, big_a)))
 
 
-def _stop_step(eps):
-    """K(eps), the smallest k >= 2 with 2**-k <= eps.
-
-    Bisection on [0, 1] stops at step K(eps) whenever its midpoints are
-    exact, which they are through step 53: consecutive midpoints then
-    differ by exactly 2**-k.
-    """
-    return max(2, 1 - math.frexp(eps)[1])
-
-
 def solve_iterative(coeffs, eps=DEFAULT_EPS):
     """Bisection on the strictly decreasing derivative over [0, 1].
 
@@ -135,62 +125,39 @@ def solve_iterative(coeffs, eps=DEFAULT_EPS):
 def _bisect(coeffs, big_a, live, eps):
     """Lockstep bisection of every instance of a 1-d batch.
 
-    Returns the midpoints and the bracket widths, one row per step and one
-    column per instance, and the step at which each ``live`` instance
-    stopped (0 for the others).
+    Each step halves every bracket [lo, hi], from [0, 1], and from step 2
+    on stops each ``live`` instance whose midpoint is within eps of the
+    last.  Returns the midpoints and the bracket widths, one row per step
+    and one column per instance, and the step at which each ``live``
+    instance stopped (0 for the others).
     """
-    def rising(alpha):
-        return big_a > _uplink_slope(coeffs, alpha)  # dR/dalpha > 0
-
-    # Through step 53 the midpoints are exact: after k steps the bracket is
-    # [lo, lo + 2**-k] with lo a multiple of 2**-k, and no instance stops
-    # before step K(eps). The next `levels` steps then visit only points of
-    # the grid lo + j*2**-(k + levels). If dR/dalpha > 0 holds on a prefix
-    # of that grid, as it does for a decreasing derivative, whichever points
-    # they visit they move lo to the prefix's last point.
-    first = min(_stop_step(eps), 54)
-    lo = np.zeros(live.shape)
-    k = 0
-    while k < first - 1:
-        levels = min(_GRID_LEVELS, first - 1 - k)
-        step = 0.5 ** (k + levels)
-        up = rising(lo + step * np.arange(1.0, 2 ** levels)[:, None])
-        if np.any(up[1:] > up[:-1]):
-            break  # a sign rises again: take these steps one at a time
-        lo = lo + step * up.sum(axis=0)
-        k += levels
-    # step s + 1 bisects the bracket [lo cut to s bits, that + 2**-s]
-    cut = 2.0 ** np.arange(k)[:, None]
-    mids = [np.floor(lo * cut) / cut + 0.5 / cut]
-    widths = [np.broadcast_to(0.5 / cut, mids[0].shape)]
-    hi = lo + 0.5 ** k
-    prev = mids[0][k - 1] if k else None
+    lo, hi = np.zeros(live.shape), np.ones(live.shape)
+    mids, widths = [], []
     pending = live.copy()
     steps = np.zeros(live.shape, dtype=int)
-    for k in range(k + 1, MAX_ITER + 1):
+    for k in range(1, MAX_ITER + 1):
         mid = 0.5 * (lo + hi)
-        up = rising(mid)
+        up = big_a > _uplink_slope(coeffs, mid)  # dR/dalpha > 0
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
         mids.append(mid)
         widths.append(hi - lo)
-        if k >= first:
-            done = pending & (np.abs(mid - prev) <= eps)
+        if k > 1:
+            done = pending & (np.abs(mid - mids[-2]) <= eps)
             steps[done] = k
             pending &= ~done
             if not pending.any():
                 return np.vstack(mids), np.vstack(widths), steps
-        prev = mid
     raise ConvergenceError(f"bisection did not converge in {MAX_ITER} iterations")
 
 
-def _newton_polish(coeffs, big_a, alpha, steps=2):
-    # dR/dalpha is smooth and strictly decreasing here; a couple of Newton
-    # steps from the bisection estimate land on the root to machine
-    # precision.  An instance stops at a flat slope or a step leaving (0, 1).
+def _newton_polish(coeffs, big_a, alpha):
+    # dR/dalpha is smooth and strictly decreasing here; two Newton steps
+    # from the bisection estimate land on the root to machine precision.
+    # An instance stops at a flat slope or a step leaving (0, 1).
     live = np.ones(np.shape(alpha), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(steps):
+        for _ in range(2):
             slope = _uplink_curvature(coeffs, alpha)
             live &= slope != 0.0
             candidate = alpha - (big_a - _uplink_slope(coeffs, alpha)) / slope

@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hrvlc.optimizer
 from hrvlc import grid_oracle, solve_closed_form, solve_iterative, total_rate
 from hrvlc.errors import ConvergenceError
 from hrvlc.objective import ReducedCoefficients
-from hrvlc.optimizer import _stop_step
 
 from conftest import make_coeffs, random_coeffs
 from oracles import (
@@ -258,6 +258,23 @@ class TestBatchedIterative:
         assert np.all(alphas[1::5] == 0.0) and np.all(alphas[4::5] == 0.0)
         assert np.all(alphas[2::5] == 1.0) and np.all(alphas[3::5] == 1.0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10 ** 9), eps=st.one_of(
+        st.floats(-1074.0, 2.0).map(lambda e: 2.0 ** e),
+        # 2**k and its neighbours one ulp away, k often where midpoints
+        # are exact and consecutive ones differ by exactly 2**-k
+        st.one_of(st.integers(-60, 2), st.integers(-1074, 2)).flatmap(
+            lambda k: st.sampled_from([
+                2.0 ** k, math.nextafter(2.0 ** k, 0.0),
+                math.nextafter(2.0 ** k, math.inf)])).filter(
+                    lambda e: e > 0.0)))
+    def test_batch_matches_reference_at_any_eps(self, seed, eps):
+        # eps log-uniform down to the smallest subnormal: each instance
+        # stops at the step the reference stops at
+        singles = mixed_instances(np.random.default_rng(seed), 20)
+        assert_matches_reference(solve_iterative(batch_of(singles), eps=eps),
+                                 singles, eps)
+
     def test_scalar_call_is_a_batch_of_one(self):
         rng = np.random.default_rng(28)
         for coeffs in mixed_instances(rng, 50):
@@ -275,7 +292,8 @@ class TestBatchedIterative:
         (2.0 ** -30, 30), (2.0 ** -30 * (1 + 2 ** -52), 30),
         (2.0 ** -30 * (1 - 2 ** -53), 31), (2.0 ** -53, 53)])
     def test_every_interior_instance_stops_at_k_eps(self, eps, steps):
-        assert _stop_step(eps) == steps
+        # README's K(eps): the smallest k >= 2 with 2**-k <= eps
+        assert max(2, 1 - math.frexp(eps)[1]) == steps
         singles = [random_coeffs(np.random.default_rng(29 + i))
                    for i in range(40)]
         res = solve_iterative(batch_of(singles), eps=eps)
@@ -303,12 +321,12 @@ class TestBatchedIterative:
         monkeypatch.setattr(hrvlc.optimizer, "_uplink_slope", counted)
         res = solve_iterative(batch_of(singles), eps=1e-9)
         assert_matches_reference(res, singles, 1e-9)
-        # the grid's rising sign sends every step down the one-at-a-time
-        # path; the Newton polish takes two more
+        # one sign test per bisection step, two more for the Newton polish,
+        # whether or not a sign in the batch rises along the bracket
         assert sum(row_calls) == 30 + 2
         row_calls.clear()
         solve_iterative(batch_of([INTERIOR, INTERIOR]), eps=1e-9)
-        assert sum(row_calls) == 1 + 2
+        assert sum(row_calls) == 30 + 2
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_step_budget_below_k_eps_raises(self, monkeypatch, batch):
