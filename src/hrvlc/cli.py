@@ -122,14 +122,10 @@ def cmd_solve(config_path, mt_index, method, seed, out_path,
     _, _, _, coeffs = _prepare(config_path, mt_index, seed)
     _check_rates(coeffs, mt_index)
     # argparse admits only the methods closed, iter and grid
-    if method == "grid":
-        alpha, rate = grid_oracle(coeffs, n_points)
-        row = (alpha, rate, 0.0, 0.0, method, 0)
-    else:
-        res = (solve_closed_form(coeffs) if method == "closed"
-               else solve_iterative(coeffs, eps=eps))
-        row = (res.kkt.alpha, res.rate, res.kkt.lam, res.kkt.mu, method,
-               res.iterations)
+    res = (solve_closed_form(coeffs) if method == "closed"
+           else solve_iterative(coeffs, eps=eps) if method == "iter"
+           else grid_oracle(coeffs, n_points))
+    row = (res.alpha, res.rate, res.lam, res.mu, method, len(res.trace))
     _write_csv(out_path, "alpha_star,R_star,lambda,mu,method,iterations",
                "%.17g,%.17g,%.17g,%.17g,%s,%d\n", [row])
 
@@ -143,7 +139,7 @@ def cmd_converge(config_path, mt_index, eps, seed, out_path):
     _check_rates(coeffs, mt_index)
     res = solve_iterative(coeffs, eps=eps)
     rows = []
-    for trace, alpha in zip(res.trace, res.kkt.alpha.tolist()):
+    for trace, alpha in zip(res.trace, res.alpha.tolist()):
         # boundary binding: one iteration, no bisection residual
         rows.extend(trace or [(1, alpha, 0.0)])
     _write_csv(out_path, "iteration,alpha,residual", "%d,%.17g,%.17g\n", rows)
@@ -158,7 +154,7 @@ def cmd_montecarlo(config_path, mt_index, n_draws, seed, out_path):
     _, _, h_sq, coeffs = _prepare(config_path, mt_index, seed, n_draws)
     _check_rates(coeffs, mt_index)
     res = solve_closed_form(coeffs)
-    alphas = res.kkt.alpha
+    alphas = res.alpha
     rows = zip(range(n_draws), h_sq.tolist(), alphas.tolist(),
                res.rate.tolist())
     summary = ["%s,,%.17g,%.17g\n" % (stat, f(alphas), f(res.rate))

@@ -24,29 +24,20 @@ MAX_ITER = 200  # bisection steps before a ConvergenceError
 
 
 @dataclass(frozen=True)
-class KktPoint:
-    """Primal-dual certificate: dR/dalpha - lam + mu = 0, lam, mu >= 0.
+class OptResult:
+    """The optimum of one route, with its primal-dual certificate.
 
-    lam multiplies (alpha - 1) <= 0, mu multiplies -alpha <= 0.
+    dR/dalpha - lam + mu = 0 with lam, mu >= 0, where lam multiplies
+    (alpha - 1) <= 0 and mu multiplies -alpha <= 0.
     """
 
     alpha: float
+    rate: float                # R(alpha*) [bits/s]
     lam: float
     mu: float
-
-
-@dataclass(frozen=True)
-class OptResult:
-    kkt: KktPoint
-    rate: float                # R(alpha*) [bits/s]
     # (iteration, alpha, bracket_width) per iterate; of a batch, one such
     # tuple per instance
     trace: tuple = ()
-
-    @property
-    def iterations(self):
-        """Bisection steps of a one-instance solve."""
-        return len(self.trace)
 
 
 def _root(coeffs, big_a):
@@ -63,31 +54,25 @@ def _tie_rule(coeffs, big_a, alpha):
                     np.where(big_a == 0.0, 0.0, alpha))[()]
 
 
-def _with_multipliers(alpha, at_zero, at_one):
-    # each multiplier takes up the outward pull of dR/dalpha at its bound,
-    # given as its values at_zero and at_one
-    lam = np.where((alpha >= 1.0) & (at_one > 0.0), at_one, 0.0)[()]
-    mu = np.where((alpha <= 0.0) & (at_zero < 0.0), -at_zero, 0.0)[()]
-    return KktPoint(alpha=alpha, lam=lam, mu=mu)
-
-
 def _slopes_at_bounds(coeffs, big_a):
     # dR/dalpha at alpha = 0 and at alpha = 1
     return (big_a - _uplink_slope(coeffs, 0.0),
             big_a - _uplink_slope(coeffs, 1.0))
 
 
-def _finish(coeffs, kkt, trace=()):
-    return OptResult(kkt=kkt, rate=total_rate(coeffs, kkt.alpha).total,
-                     trace=trace)
+def _finish(coeffs, alpha, at_zero, at_one, trace=()):
+    # each multiplier takes up the outward pull of dR/dalpha at its bound,
+    # given as its values at_zero and at_one
+    lam = np.where((alpha >= 1.0) & (at_one > 0.0), at_one, 0.0)[()]
+    mu = np.where((alpha <= 0.0) & (at_zero < 0.0), -at_zero, 0.0)[()]
+    return OptResult(alpha, total_rate(coeffs, alpha).total, lam, mu, trace)
 
 
 def solve_closed_form(coeffs):
     """Clamp of the stationary point, multipliers recovered at the bindings."""
     big_a = downlink_log_term(coeffs)
     alpha = _tie_rule(coeffs, big_a, np.clip(_root(coeffs, big_a), 0.0, 1.0))
-    return _finish(coeffs, _with_multipliers(
-        alpha, *_slopes_at_bounds(coeffs, big_a)))
+    return _finish(coeffs, alpha, *_slopes_at_bounds(coeffs, big_a))
 
 
 def solve_iterative(coeffs, eps=DEFAULT_EPS):
@@ -118,8 +103,8 @@ def solve_iterative(coeffs, eps=DEFAULT_EPS):
         traces = tuple(tuple(zip(range(1, k + 1), m[:k], w[:k]))
                        for k, m, w in zip(steps.tolist(), mids.T.tolist(),
                                           widths.T.tolist()))
-    kkt = _with_multipliers(alpha, at_zero, at_one)
-    return _finish(coeffs, kkt, traces if interior.ndim else traces[0])
+    return _finish(coeffs, alpha, at_zero, at_one,
+                   traces if interior.ndim else traces[0])
 
 
 def _bisect(coeffs, big_a, live, eps):
@@ -167,10 +152,13 @@ def _newton_polish(coeffs, big_a, alpha):
 
 
 def grid_oracle(coeffs, n_points):
-    """Brute-force argmax of R over a uniform alpha grid (ties to smallest)."""
+    """Brute-force argmax of R over a uniform alpha grid (ties to smallest).
+
+    The grid certifies nothing: its multipliers are 0 and its trace empty.
+    """
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     alphas = np.linspace(0.0, 1.0, n_points)
     values = total_rate(coeffs, alphas).total
     idx = int(np.argmax(values))
-    return float(alphas[idx]), float(values[idx])
+    return OptResult(float(alphas[idx]), float(values[idx]), 0.0, 0.0)

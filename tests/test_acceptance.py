@@ -129,8 +129,8 @@ def test_criterion_3_solver_triple_agreement():
             values = total_rate(coeffs, alphas).total
             idx = int(np.argmax(values))
             alpha_grid, r_grid = float(alphas[idx]), float(values[idx])
-            assert abs(closed.kkt.alpha - iterative.kkt.alpha) <= 2 * eps
-            assert abs(closed.kkt.alpha - alpha_grid) <= tol_alpha
+            assert abs(closed.alpha - iterative.alpha) <= 2 * eps
+            assert abs(closed.alpha - alpha_grid) <= tol_alpha
             assert abs(closed.rate - iterative.rate) <= 1e-8 * abs(closed.rate)
             assert abs(closed.rate - r_grid) <= 1e-8 * abs(closed.rate)
         assert time.perf_counter() - start < 60.0
@@ -141,12 +141,11 @@ def test_criterion_4_kkt_certificate():
         for coeffs in instances(1000, seed=303):
             for res in (solve_closed_form(coeffs),
                         solve_iterative(coeffs, eps=1e-9)):
-                kkt = res.kkt
-                assert kkt.lam >= 0.0 and kkt.mu >= 0.0
-                assert abs(kkt.lam * (kkt.alpha - 1.0)) <= 1e-12
-                assert abs(kkt.mu * kkt.alpha) <= 1e-12
+                assert res.lam >= 0.0 and res.mu >= 0.0
+                assert abs(res.lam * (res.alpha - 1.0)) <= 1e-12
+                assert abs(res.mu * res.alpha) <= 1e-12
                 scale = max(1.0, abs(rate_derivative(coeffs, 0.0)))
-                residual = rate_derivative(coeffs, kkt.alpha) - kkt.lam + kkt.mu
+                residual = rate_derivative(coeffs, res.alpha) - res.lam + res.mu
                 assert abs(residual) <= 1e-9 * scale
 
 

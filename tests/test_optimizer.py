@@ -69,41 +69,40 @@ class TestStationaryAlpha:
 
 
 def assert_kkt(coeffs, res, scale=None):
-    kkt = res.kkt
-    assert 0.0 <= kkt.alpha <= 1.0
-    assert kkt.lam >= 0.0
-    assert kkt.mu >= 0.0
-    assert abs(kkt.lam * (kkt.alpha - 1.0)) <= 1e-12
-    assert abs(kkt.mu * kkt.alpha) <= 1e-12
+    assert 0.0 <= res.alpha <= 1.0
+    assert res.lam >= 0.0
+    assert res.mu >= 0.0
+    assert abs(res.lam * (res.alpha - 1.0)) <= 1e-12
+    assert abs(res.mu * res.alpha) <= 1e-12
     if scale is None:
         scale = max(1.0, abs(rate_derivative(coeffs, 0.0)))
-    residual = rate_derivative(coeffs, kkt.alpha) - kkt.lam + kkt.mu
+    residual = rate_derivative(coeffs, res.alpha) - res.lam + res.mu
     assert abs(residual) <= 1e-9 * scale
 
 
 class TestClosedForm:
     def test_downlink_dominant_binds_upper(self):
         res = solve_closed_form(make_coeffs(a=1e9, b2=1e-3))
-        assert res.kkt.alpha == 1.0
-        assert res.kkt.lam > 0.0
-        assert res.kkt.mu == 0.0
+        assert res.alpha == 1.0
+        assert res.lam > 0.0
+        assert res.mu == 0.0
 
     def test_no_downlink_binds_lower(self):
         res = solve_closed_form(make_coeffs(a=0.0))
-        assert res.kkt.alpha == 0.0
-        assert res.kkt.mu > 0.0
-        assert res.kkt.lam == 0.0
+        assert res.alpha == 0.0
+        assert res.mu > 0.0
+        assert res.lam == 0.0
 
     def test_interior_example_agrees_with_grid(self):
         res = solve_closed_form(INTERIOR)
-        assert res.kkt.alpha == pytest.approx(INTERIOR_ALPHA, abs=1e-12)
-        assert res.kkt.lam == 0.0 and res.kkt.mu == 0.0
-        alpha_hat, _ = grid_oracle(INTERIOR, 10 ** 5)
-        assert abs(res.kkt.alpha - alpha_hat) <= 1e-4
+        assert res.alpha == pytest.approx(INTERIOR_ALPHA, abs=1e-12)
+        assert res.lam == 0.0 and res.mu == 0.0
+        alpha_hat = grid_oracle(INTERIOR, 10 ** 5).alpha
+        assert abs(res.alpha - alpha_hat) <= 1e-4
 
     def test_affine_objective_boundary_rule(self):
-        assert solve_closed_form(make_coeffs(d=0.0)).kkt.alpha == 1.0
-        assert solve_closed_form(make_coeffs(a=0.0, d=0.0)).kkt.alpha == 1.0
+        assert solve_closed_form(make_coeffs(d=0.0)).alpha == 1.0
+        assert solve_closed_form(make_coeffs(a=0.0, d=0.0)).alpha == 1.0
 
     def test_kkt_certificate_randomized(self):
         rng = np.random.default_rng(22)
@@ -112,7 +111,7 @@ class TestClosedForm:
             coeffs = random_coeffs(rng, force=force)
             res = solve_closed_form(coeffs)
             assert_kkt(coeffs, res)
-            assert res.rate == total_rate(coeffs, res.kkt.alpha).total
+            assert res.rate == total_rate(coeffs, res.alpha).total
 
     def test_batch_equals_batches_of_one_bitwise(self):
         rng = np.random.default_rng(26)
@@ -123,12 +122,12 @@ class TestClosedForm:
             for f in dataclasses.fields(ReducedCoefficients)})
         res = solve_closed_form(batch)
         ones = [solve_closed_form(c) for c in singles]
-        for got, one in ((res.kkt.alpha, [r.kkt.alpha for r in ones]),
+        for got, one in ((res.alpha, [r.alpha for r in ones]),
                          (res.rate, [r.rate for r in ones]),
-                         (res.kkt.lam, [r.kkt.lam for r in ones]),
-                         (res.kkt.mu, [r.kkt.mu for r in ones])):
+                         (res.lam, [r.lam for r in ones]),
+                         (res.mu, [r.mu for r in ones])):
             assert got.tobytes() == np.array(one, dtype=float).tobytes()
-        alphas = res.kkt.alpha
+        alphas = res.alpha
         assert np.any(alphas == 0.0) and np.any(alphas == 1.0)
         assert np.any((alphas > 0.0) & (alphas < 1.0))
 
@@ -136,15 +135,15 @@ class TestClosedForm:
 class TestIterative:
     def test_interior_converges_within_bisection_bound(self):
         res = solve_iterative(INTERIOR, eps=1e-9)
-        assert res.iterations <= math.ceil(math.log2(1e9)) + 1
-        assert res.kkt.alpha == pytest.approx(INTERIOR_ALPHA, abs=2e-9)
+        assert len(res.trace) <= math.ceil(math.log2(1e9)) + 1
+        assert res.alpha == pytest.approx(INTERIOR_ALPHA, abs=2e-9)
 
     def test_boundary_returns_without_bisection(self):
         res = solve_iterative(make_coeffs(a=0.0))
-        assert res.kkt.alpha == 0.0
+        assert res.alpha == 0.0
         assert res.trace == ()
         res = solve_iterative(make_coeffs(a=1e9, b2=1e-3))
-        assert res.kkt.alpha == 1.0
+        assert res.alpha == 1.0
         assert res.trace == ()
 
     def test_trace_bracket_width_halves_exactly(self):
@@ -160,8 +159,8 @@ class TestIterative:
         for i in range(300):
             force = ("a0", "d0", None)[i % 3]
             coeffs = random_coeffs(rng, force=force)
-            alpha_it = solve_iterative(coeffs, eps=eps).kkt.alpha
-            alpha_cf = solve_closed_form(coeffs).kkt.alpha
+            alpha_it = solve_iterative(coeffs, eps=eps).alpha
+            alpha_cf = solve_closed_form(coeffs).alpha
             assert abs(alpha_it - alpha_cf) <= 2 * eps
 
     def test_kkt_certificate_randomized(self):
@@ -178,17 +177,19 @@ class TestIterative:
 
 class TestGridOracle:
     def test_affine_decreasing_picks_zero(self):
-        alpha, _ = grid_oracle(make_coeffs(a=0.0), 101)
+        alpha = grid_oracle(make_coeffs(a=0.0), 101).alpha
         assert alpha == 0.0
 
     def test_affine_increasing_picks_one(self):
-        alpha, _ = grid_oracle(make_coeffs(d=0.0), 101)
+        alpha = grid_oracle(make_coeffs(d=0.0), 101).alpha
         assert alpha == 1.0
 
     def test_interior_example(self):
-        alpha, value = grid_oracle(INTERIOR, 10 ** 5)
-        assert abs(alpha - INTERIOR_ALPHA) <= 1e-4
-        assert value == total_rate(INTERIOR, alpha).total
+        res = grid_oracle(INTERIOR, 10 ** 5)
+        assert abs(res.alpha - INTERIOR_ALPHA) <= 1e-4
+        assert res.rate == total_rate(INTERIOR, res.alpha).total
+        # the grid certifies nothing
+        assert (res.lam, res.mu, res.trace) == (0.0, 0.0, ())
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
@@ -237,10 +238,10 @@ def assert_matches_reference(res, singles, eps):
     """Each instance of a batch result equals the one-instance reference."""
     for i, coeffs in enumerate(singles):
         alpha, rate, lam, mu, trace = solve_iterative_reference(coeffs, eps)
-        assert bits(res.kkt.alpha[i]) == bits(alpha)
+        assert bits(res.alpha[i]) == bits(alpha)
         assert bits(res.rate[i]) == bits(rate)
-        assert bits(res.kkt.lam[i]) == bits(lam)
-        assert bits(res.kkt.mu[i]) == bits(mu)
+        assert bits(res.lam[i]) == bits(lam)
+        assert bits(res.mu[i]) == bits(mu)
         assert res.trace[i] == trace
 
 
@@ -253,7 +254,7 @@ class TestBatchedIterative:
         singles = mixed_instances(np.random.default_rng(27), 100)
         res = solve_iterative(batch_of(singles), eps=eps)
         assert_matches_reference(res, singles, eps)
-        alphas = res.kkt.alpha
+        alphas = res.alpha
         assert np.any((alphas > 0.0) & (alphas < 1.0))
         assert np.all(alphas[1::5] == 0.0) and np.all(alphas[4::5] == 0.0)
         assert np.all(alphas[2::5] == 1.0) and np.all(alphas[3::5] == 1.0)
@@ -280,12 +281,12 @@ class TestBatchedIterative:
         for coeffs in mixed_instances(rng, 50):
             res = solve_iterative(coeffs)
             alpha, rate, lam, mu, trace = solve_iterative_reference(coeffs)
-            assert np.ndim(res.kkt.alpha) == 0 and np.ndim(res.rate) == 0
-            assert [bits(v) for v in (res.kkt.alpha, res.rate, res.kkt.lam,
-                                      res.kkt.mu)] == \
+            assert np.ndim(res.alpha) == 0 and np.ndim(res.rate) == 0
+            assert [bits(v) for v in (res.alpha, res.rate, res.lam,
+                                      res.mu)] == \
                 [bits(v) for v in (alpha, rate, lam, mu)]
             assert res.trace == trace
-            assert res.iterations == len(trace)
+            assert len(res.trace) == len(trace)
 
     @pytest.mark.parametrize("eps, steps", [
         (2.0, 2), (0.25, 2), (0.2, 3), (1e-3, 10), (1e-9, 30),
@@ -297,7 +298,7 @@ class TestBatchedIterative:
         singles = [random_coeffs(np.random.default_rng(29 + i))
                    for i in range(40)]
         res = solve_iterative(batch_of(singles), eps=eps)
-        interior = (res.kkt.alpha > 0.0) & (res.kkt.alpha < 1.0)
+        interior = (res.alpha > 0.0) & (res.alpha < 1.0)
         assert interior.any()
         assert {len(t) for t, inside in zip(res.trace, interior)
                 if inside} == {steps}
