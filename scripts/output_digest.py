@@ -7,7 +7,8 @@ runs. The inputs come from the checkout holding this script: both shipped
 configs and the first eight terminals of the seeded 256-AP hall that the
 benchmark's room-dense workload builds. Each terminal runs, for seeds 0, 7,
 987654 and 2**64 + 3 (three uint32 entropy words, [3, 0, 1], where the
-others take one), ``sweep`` at 1001 points, ``solve`` by each method,
+others take one), ``sweep`` at 1001 points, ``solve`` by each method (and
+again by ``grid`` at 101 points and by ``iter`` at eps 1e-3),
 ``converge`` with eps 1e-9, 1e-3, 2**-53 and 1e-16 (2**-53 stops at step
 53, the last whose midpoints are exact; 1e-16 steps past it), and
 ``montecarlo`` with 1 and 200 draws; the two-AP room's terminal also runs ``montecarlo`` with 20000 draws
@@ -40,6 +41,8 @@ CALLS = (
     ("solve-closed", ["solve", "--method", "closed"]),
     ("solve-iter", ["solve", "--method", "iter"]),
     ("solve-grid", ["solve", "--method", "grid"]),
+    ("solve-grid-101", ["solve", "--method", "grid", "--points", "101"]),
+    ("solve-iter-1e-3", ["solve", "--method", "iter", "--eps", "1e-3"]),
     ("converge", ["converge"]),
     ("converge-1e-3", ["converge", "--eps", "1e-3"]),
     ("converge-2^-53", ["converge", "--eps", "1.1102230246251565e-16"]),

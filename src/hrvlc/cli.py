@@ -19,7 +19,8 @@ import numpy as np
 from .errors import (ConfigValidationError, ConvergenceError, HrvlcError,
                      MalformedCsvError)
 from .harvest_uplink import rician_envelope
-from .objective import downlink_log_term, reduce_coefficients, total_rate
+from .objective import (_uplink_slope, downlink_log_term, reduce_coefficients,
+                        total_rate)
 from .optimizer import (DEFAULT_EPS, grid_oracle, solve_closed_form,
                         solve_iterative)
 from .scenario import associate, load_scenario
@@ -83,21 +84,28 @@ def _prepare(config_path, mt_index, seed, n_draws=None):
 
 
 def _check_rates(coeffs, mt_index):
-    """Refuse a terminal whose downlink or peak uplink rate is not finite.
+    """Refuse a terminal whose rates, or uplink slope, are not finite.
 
     A config with every field in range can still leave float64 behind: an
     uplink noise product that underflows to 0, or a noise floor so small
     that the SINR overflows, makes a rate inf or nan, and the solver routes
-    then divide by zero or disagree.  The uplink rate peaks at alpha = 0.
+    then divide by zero or disagree.  The uplink rate and its slope peak at
+    alpha = 0, and the downlink rate plus that peak bounds R(alpha).
     """
     with np.errstate(all="ignore"):
-        links = (
+        down = downlink_log_term(coeffs)
+        up = total_rate(coeffs, 0.0).uplink_term
+        checks = (
             ("downlink rate B_v*log2(1 + P_T*G/(N0*B_v + interference))",
-             downlink_log_term(coeffs)),
+             down),
             ("uplink rate B_r*log2(1 + E_H*|h|^2/(T_u*N0*rf_distance"
-             "^pathloss_exp))", total_rate(coeffs, 0.0).uplink_term))
-    for name, rate in links:
-        if not np.isfinite(rate).all():
+             "^pathloss_exp))", up),
+            # a Python-float alpha would raise on a zero denominator
+            ("uplink rate slope at alpha = 0",
+             _uplink_slope(coeffs, np.float64(0.0))),
+            ("peak total rate, downlink + uplink at alpha = 0", down + up))
+    for name, value in checks:
+        if not np.isfinite(value).all():
             raise ConfigValidationError(f"mts[{mt_index}]",
                                         f"{name} is not finite")
 
@@ -135,7 +143,8 @@ def cmd_converge(config_path, mt_index, eps, seed, out_path):
     scn, _, _, coeffs = _prepare(config_path, mt_index, seed)
     # association does not depend on B_v: swap only b = N0*B_v and b1 = B_v
     b_v = np.array(scn.bv_sweep or (scn.params.b_v,))
-    coeffs = replace(coeffs, b=scn.params.n0 * b_v, b1=b_v)
+    with np.errstate(over="ignore"):  # an inf N0*B_v leaves A = 0
+        coeffs = replace(coeffs, b=scn.params.n0 * b_v, b1=b_v)
     _check_rates(coeffs, mt_index)
     res = solve_iterative(coeffs, eps=eps)
     rows = []
@@ -154,13 +163,17 @@ def cmd_montecarlo(config_path, mt_index, n_draws, seed, out_path):
     _, _, h_sq, coeffs = _prepare(config_path, mt_index, seed, n_draws)
     _check_rates(coeffs, mt_index)
     res = solve_closed_form(coeffs)
-    alphas = res.alpha
-    rows = zip(range(n_draws), h_sq.tolist(), alphas.tolist(),
+    rows = zip(range(n_draws), h_sq.tolist(), res.alpha.tolist(),
                res.rate.tolist())
-    summary = ["%s,,%.17g,%.17g\n" % (stat, f(alphas), f(res.rate))
-               for stat, f in (("mean", np.mean), ("std", np.std))]
+    with np.errstate(over="ignore"):  # np.std squares the deviations
+        summary = [(stat, f(res.alpha), f(res.rate))
+                   for stat, f in (("mean", np.mean), ("std", np.std))]
+    if not np.isfinite([rate for _, _, rate in summary]).all():
+        raise ConfigValidationError(f"mts[{mt_index}]",
+                                    "mean or std of R_star is not finite")
     _write_csv(out_path, "draw_index,h_sq,alpha_star,R_star",
-               "%d,%.17g,%.17g,%.17g\n", rows, "".join(summary))
+               "%d,%.17g,%.17g,%.17g\n", rows,
+               "".join("%s,,%.17g,%.17g\n" % stat for stat in summary))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

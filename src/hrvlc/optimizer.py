@@ -25,10 +25,9 @@ MAX_ITER = 200  # bisection steps before a ConvergenceError
 
 @dataclass(frozen=True)
 class OptResult:
-    """The optimum of one route, with its primal-dual certificate.
+    """alpha* with its certificate dR/dalpha - lam + mu = 0, lam, mu >= 0.
 
-    dR/dalpha - lam + mu = 0 with lam, mu >= 0, where lam multiplies
-    (alpha - 1) <= 0 and mu multiplies -alpha <= 0.
+    lam multiplies (alpha - 1) <= 0, mu multiplies -alpha <= 0.
     """
 
     alpha: float
@@ -41,8 +40,8 @@ class OptResult:
 
 
 def _root(coeffs, big_a):
-    # inf or nan where d = 0 or A = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # inf or nan where d = 0 or A = 0, or where a ratio overflows
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return (1.0 + np.divide(coeffs.g + coeffs.e, coeffs.d)
                 - np.divide(coeffs.b2, big_a * LN2))
 
@@ -55,9 +54,10 @@ def _tie_rule(coeffs, big_a, alpha):
 
 
 def _slopes_at_bounds(coeffs, big_a):
-    # dR/dalpha at alpha = 0 and at alpha = 1
-    return (big_a - _uplink_slope(coeffs, 0.0),
-            big_a - _uplink_slope(coeffs, 1.0))
+    # dR/dalpha at 0 and 1; at 1 it may overflow to -inf, a sign all the same
+    with np.errstate(over="ignore"):
+        return (big_a - _uplink_slope(coeffs, 0.0),
+                big_a - _uplink_slope(coeffs, 1.0))
 
 
 def _finish(coeffs, alpha, at_zero, at_one, trace=()):
@@ -71,8 +71,12 @@ def _finish(coeffs, alpha, at_zero, at_one, trace=()):
 def solve_closed_form(coeffs):
     """Clamp of the stationary point, multipliers recovered at the bindings."""
     big_a = downlink_log_term(coeffs)
-    alpha = _tie_rule(coeffs, big_a, np.clip(_root(coeffs, big_a), 0.0, 1.0))
-    return _finish(coeffs, alpha, *_slopes_at_bounds(coeffs, big_a))
+    at_zero, at_one = _slopes_at_bounds(coeffs, big_a)
+    root = _root(coeffs, big_a)
+    # a root lost to inf - inf: the bound the derivative points at
+    root = np.where(np.isnan(root), at_zero > 0.0, root)
+    alpha = _tie_rule(coeffs, big_a, np.clip(root, 0.0, 1.0))
+    return _finish(coeffs, alpha, at_zero, at_one)
 
 
 def solve_iterative(coeffs, eps=DEFAULT_EPS):
@@ -95,7 +99,8 @@ def solve_iterative(coeffs, eps=DEFAULT_EPS):
     interior = np.logical_not((at_zero <= 0.0) | (at_one >= 0.0))
     traces = ((),) * interior.size
     if interior.any():
-        mids, widths, steps = _bisect(coeffs, big_a, interior.ravel(), eps)
+        with np.errstate(over="ignore"):  # an inf slope is a sign all the same
+            mids, widths, steps = _bisect(coeffs, big_a, interior.ravel(), eps)
         # a boundary instance reads some midpoint, and its polish is dropped
         last = mids[steps - 1, np.arange(steps.size)].reshape(interior.shape)
         alpha = np.where(interior, _newton_polish(coeffs, big_a, last),
@@ -141,7 +146,7 @@ def _newton_polish(coeffs, big_a, alpha):
     # from the bisection estimate land on the root to machine precision.
     # An instance stops at a flat slope or a step leaving (0, 1).
     live = np.ones(np.shape(alpha), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(2):
             slope = _uplink_curvature(coeffs, alpha)
             live &= slope != 0.0
@@ -152,10 +157,8 @@ def _newton_polish(coeffs, big_a, alpha):
 
 
 def grid_oracle(coeffs, n_points):
-    """Brute-force argmax of R over a uniform alpha grid (ties to smallest).
-
-    The grid certifies nothing: its multipliers are 0 and its trace empty.
-    """
+    """Brute-force argmax of R over a uniform alpha grid (ties to smallest);
+    it certifies nothing: lam = mu = 0 and the trace is empty."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     alphas = np.linspace(0.0, 1.0, n_points)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -457,7 +458,9 @@ class TestMainExitCodes:
     # product T_u*N0*d^n that underflows to 0; a noise floor so far below
     # the signal that the downlink SINR overflows, or that is 0; a link so
     # short that d^4 underflows to 0 in the harvest term; a power whose
-    # square P_T^2 overflows.
+    # square P_T^2 overflows; a harvest so large that the uplink slope's
+    # numerator B_r*E_H overflows; a downlink and a peak uplink rate, each
+    # finite, whose sum, the peak total rate, is not.
     @pytest.mark.parametrize("patch, error", [
         pytest.param({"aps": {"half_angle_deg": 1e-7}},
                      "aps[0].half_angle_deg: too small: its cosine rounds "
@@ -491,6 +494,14 @@ class TestMainExitCodes:
                      "mts[0]: uplink rate B_r*log2(1 + E_H*|h|^2/(T_u*N0*"
                      "rf_distance^pathloss_exp)) is not finite",
                      id="power-square-overflow"),
+        pytest.param({"params": {"T_d": 1.7976931348623157e308,
+                                 "T_u": 1.7976931348623157e308}},
+                     "mts[0]: uplink rate slope at alpha = 0 is not finite",
+                     id="uplink-slope-overflow"),
+        pytest.param({"params": {"B_v": 4e306, "N0": 1e-320, "T_u": 2e299,
+                                 "B_r": 1.36e306}},
+                     "mts[0]: peak total rate, downlink + uplink at alpha = "
+                     "0 is not finite", id="peak-rate-overflow"),
     ])
     @pytest.mark.parametrize("route", ROUTES)
     def test_degenerate_config_is_one(self, tmp_path, capsys, patch, error,
@@ -509,6 +520,94 @@ class TestMainExitCodes:
         assert code == 1
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
+
+    def test_summary_past_the_floats_is_one(self, tmp_path, capsys):
+        # every R* is about 5.9e301 and finite, so solve writes it; the std
+        # of the 20 draws squares their deviations past the floats
+        cfg = patched_config(tmp_path, "wide.json", B_r=1e300)
+        solve_out, mc_out = tmp_path / "solve.csv", tmp_path / "mc.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", cfg, "--mt", "0",
+                         "--out", str(solve_out)]) == 0
+            assert main(["montecarlo", "--draws", "20", "--config", cfg,
+                         "--mt", "0", "--out", str(mc_out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: mts[0]: mean or std of R_star is not finite\n")
+        _, (row,) = read_rows(solve_out)
+        assert 5e301 < float(row[1]) < 7e301
+        assert not mc_out.exists()
+
+    def test_root_lost_to_inf_minus_inf_takes_the_bound(self, tmp_path,
+                                                        capsys):
+        # the stationary point is 1 + inf - inf = nan; dR/dalpha > 0 at 0
+        # points at alpha = 1, where the bisection's boundary rule lands
+        cfg = patched_config(tmp_path, "nan_root.json", B_v=5e-324,
+                             T_d=1e-200, T_u=1e300)
+        alphas = []
+        for route in (["solve", "--method", "closed"],
+                      ["solve", "--method", "iter"],
+                      ["montecarlo", "--draws", "20"]):
+            out = tmp_path / f"{route[-1]}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(route + ["--config", cfg, "--mt", "0",
+                                     "--out", str(out)]) == 0
+            header, rows = read_rows(out)
+            column = header.index("alpha_star")
+            alphas += [float(row[column]) for row in rows
+                       if row[0] not in ("mean", "std")]
+        assert capsys.readouterr().err == ""
+        assert len(alphas) == 22 and set(alphas) == {1.0}
+
+    # what each route wrote before it stopped warning on its way
+    @pytest.mark.parametrize("patch, route, want", [
+        pytest.param({"aps[0]": {"P_T": 1e100}},
+                     ["solve", "--method", "iter"],
+                     b"alpha_star,R_star,lambda,mu,method,iterations\n"
+                     b"0.99395975936204195,13315123916.382421,0,0,iter,30\n",
+                     id="newton-curvature-solve"),
+        pytest.param({"aps[0]": {"P_T": 1e100}}, ["converge"],
+                     "81122bf60e13496879875ec6aeb440ffb6a01ca3e47da3d3487cd8"
+                     "b8387474f4", id="newton-curvature-converge"),
+        pytest.param({"params": {"B_v": 5e-324}},
+                     ["solve", "--method", "closed"],
+                     b"alpha_star,R_star,lambda,mu,method,iterations\n"
+                     b"0,838030536.38944554,0,19807995.259205051,closed,0\n",
+                     id="root-solve"),
+        pytest.param({"params": {"B_v": 5e-324}},
+                     ["montecarlo", "--draws", "20"],
+                     "0459aa88c8f526c5afacbfd6fcfba804c690dede68a2f8c3f351d3"
+                     "02fcc3bf99", id="root-montecarlo"),
+        pytest.param({"params": {"N0": 1e307, "T_d": 1e300}}, ["converge"],
+                     b"iteration,alpha,residual\n1,0,0\n1,0,0\n1,0,0\n",
+                     id="noise-floor-swap"),
+        # no interferer harvest and a subnormal noise product: the slope
+        # at alpha = 1 overflows, while the one at 0 is finite
+        pytest.param({"params": {"T_u": 1e-289}, "aps[1]": {"P_T": 0.0}},
+                     ["montecarlo", "--draws", "20"],
+                     "de27188c7a3e609e10914a586f441957eafd15d06aa7425aed6f92"
+                     "b67585dcfd", id="slope-at-one-montecarlo"),
+    ])
+    def test_overflow_handled_on_the_way_is_quiet(self, tmp_path, capsys,
+                                                  patch, route, want):
+        # an inf or nan lane that the code drops, clips or leaves to the
+        # rate guard: no warning, and the bytes are as before
+        doc = json.loads(Path(TWO_AP).read_text(encoding="utf-8"))
+        for section, fields in patch.items():
+            name, _, index = section.partition("[")
+            (doc[name][int(index[:-1])] if index else doc[name]).update(fields)
+        cfg = tmp_path / "quiet.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(route + ["--config", str(cfg), "--mt", "0",
+                                 "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        data = out.read_bytes()
+        assert (data if isinstance(want, bytes)
+                else hashlib.sha256(data).hexdigest()) == want
 
     @pytest.mark.parametrize("far", [1e80, 1e200])
     @pytest.mark.parametrize("route", ROUTES)
@@ -953,3 +1052,61 @@ def test_any_argv_exits_with_a_documented_code(tmp_path, monkeypatch, argv):
               if ERROR_LINE.match(line)]
     assert len(errors) == (code != 0)
     assert "Traceback" not in err.getvalue()
+
+
+# every number the two-AP room sets but a position, as (section, entry,
+# key), and the values the property below gives them
+FIELD_VALUES = [0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-20, 1e-5,
+                0.5, 1.0, 2.0, 1e5, 1e20, 1e100, 1e200, 1e300, 1e307,
+                1.7976931348623157e308, -1.0, -1e300]
+_TWO_AP_DOC = json.loads(Path(TWO_AP).read_text(encoding="utf-8"))
+FIELDS = ([("params", None, key) for key in _TWO_AP_DOC["params"]]
+          + [(section, i, key) for section in ("aps", "mts")
+             for i, entry in enumerate(_TWO_AP_DOC[section])
+             for key in entry if key != "pos"])
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(patch=st.lists(st.tuples(st.sampled_from(FIELDS),
+                                st.sampled_from(FIELD_VALUES)),
+                      min_size=1, max_size=4, unique_by=lambda t: t[0]))
+def test_any_field_value_solves_or_exits_one(tmp_path, capsys, patch):
+    # a config the loader and the rate guard pass is solved warning-free
+    # to finite cells, and closed form and bisection agree on R*; one they
+    # refuse exits 1 with one line and no file. R* and not alpha*: near a
+    # subnormal b2*d the two routes' alpha* part from about the 8th digit.
+    # An R* below the normal floats carries fewer bits than 1e-9 resolves,
+    # so the tolerance stops shrinking there.
+    doc = json.loads(json.dumps(_TWO_AP_DOC))
+    for (section, index, key), value in patch:
+        (doc[section] if index is None else doc[section][index])[key] = value
+    cfg = tmp_path / "fuzz.json"
+    cfg.write_text(json.dumps(doc))
+    codes, rates = [], []
+    for route in (["solve", "--method", "closed"],
+                  ["solve", "--method", "iter"],
+                  ["montecarlo", "--draws", "20"]):
+        out = tmp_path / "x.csv"
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(route + ["--config", str(cfg), "--mt", "0",
+                                 "--out", str(out)])
+        err = capsys.readouterr().err
+        codes.append(code)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.endswith("\n") and not out.exists()
+            continue
+        assert code == 0 and err == ""
+        _, rows = read_rows(out)
+        cells = [float(cell) for row in rows for cell in row
+                 if cell not in ("", "mean", "std", "closed", "iter")]
+        assert rows and all(map(math.isfinite, cells))
+        if route[0] == "solve":
+            rates.append(float(rows[0][1]))
+    assert codes[0] == codes[1]
+    if codes[0] == 0:
+        assert rates[0] == pytest.approx(rates[1], rel=1e-9,
+                                         abs=1e-9 * sys.float_info.min)

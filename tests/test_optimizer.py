@@ -104,6 +104,17 @@ class TestClosedForm:
         assert solve_closed_form(make_coeffs(d=0.0)).alpha == 1.0
         assert solve_closed_form(make_coeffs(a=0.0, d=0.0)).alpha == 1.0
 
+    @pytest.mark.parametrize("b2, d, alpha", [(1.0, 1e-300, 1.0),
+                                              (1e300, 1e-10, 0.0)])
+    def test_root_lost_to_inf_minus_inf_takes_the_bound(self, b2, d, alpha):
+        # (g + e)/d and b2/(A ln 2) both overflow, so the stationary point
+        # is nan: the bound dR/dalpha points at, as the bisection takes it
+        coeffs = make_coeffs(b1=5e-324, g=1e300, b2=b2, d=d)
+        assert np.isnan(stationary_alpha(coeffs))
+        res = solve_closed_form(coeffs)
+        assert res.alpha == solve_iterative(coeffs).alpha == alpha
+        assert_kkt(coeffs, res)
+
     def test_kkt_certificate_randomized(self):
         rng = np.random.default_rng(22)
         for i in range(200):
