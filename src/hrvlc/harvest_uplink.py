@@ -5,7 +5,6 @@ and energy harvesting (the remaining ``1 - alpha``).  The harvested energy
 powers the RF uplink, whose envelope fades with a Rician law.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -16,14 +15,11 @@ def _libm(fn, x, *y):
 
     numpy's SIMD pow, log2, cos and sin can differ from libm in the last ulp,
     and libm's values fix the CSV bytes of every command.  ``x`` gives the
-    shape: a scalar gives a float, and ``y`` is a scalar or an array shaped
-    as x.
+    shape: a scalar gives a float, and ``y`` is an array shaped as x.
     """
     if not getattr(x, "ndim", 0):
         return fn(x, *y)
-    columns = [x.ravel().tolist()] + [
-        other.ravel().tolist() if getattr(other, "ndim", 0)
-        else itertools.repeat(other) for other in y]
+    columns = [column.ravel().tolist() for column in (x, *y)]
     return np.fromiter(map(fn, *columns), float, x.size).reshape(x.shape)
 
 
@@ -36,17 +32,12 @@ def _pow(x, y):
         return math.inf
 
 
-def _harvest_term(power, d, cos_phi, m):
-    """P_T^2/d^4 * cos^(2m) of AP links of Lambertian order m, element-wise."""
-    return (_libm(_pow, power, 2.0) / _libm(_pow, d, 4.0)
-            * _libm(_pow, cos_phi, 2.0 * m))
-
-
 def rician_envelope(k, omega, x, y):
     """Envelope |h| of Rician factor k and E|h|^2 = omega from normal pairs.
 
-    |h| = sqrt(omega/(1+k)) * |sqrt(k) + (x + 1j*y)/sqrt(2)|, element by
-    element over the standard normal arrays x (real part) and y (imaginary).
+    |h| = sqrt(omega/(1+k)) * hypot(sqrt(k) + x/sqrt(2), y/sqrt(2)), element
+    by element over the standard normal arrays x (in phase) and y (quadrature).
     """
-    z = (x + 1j * y) / math.sqrt(2.0)
-    return math.sqrt(omega / (1.0 + k)) * np.abs(math.sqrt(k) + z)
+    root2 = math.sqrt(2.0)
+    return math.sqrt(omega / (1.0 + k)) * np.hypot(math.sqrt(k) + x / root2,
+                                                    y / root2)

@@ -82,15 +82,17 @@ def total_rate(coeffs, alpha):
     """Evaluate R(alpha) with its downlink and uplink terms."""
     _check_alpha(alpha)
     down = np.multiply(alpha, downlink_log_term(coeffs))
-    up = coeffs.b2 * np.log2(
-        1.0 + ((1.0 - np.asarray(alpha)) * coeffs.d + coeffs.e) / coeffs.g)
+    up = coeffs.b2 * _libm(math.log2, 1.0 + (
+        (1.0 - np.asarray(alpha)) * coeffs.d + coeffs.e) / coeffs.g)
     return ObjectiveEval(alpha=np.asarray(alpha, dtype=float)[()],
                          total=down + up, downlink_term=down, uplink_term=up)
 
 
 def _uplink_slope(coeffs, alpha):
-    # -d(uplink term)/dalpha, for an alpha already known to be in [0, 1]
-    return (coeffs.b2 * coeffs.d / LN2) / _uplink_denominator(coeffs, alpha)
+    # -d(uplink term)/dalpha, for an alpha already known to be in [0, 1];
+    # d over its denominator first, a ratio <= 1: b2*d could overflow, or
+    # lose a subnormal b2 to underflow
+    return coeffs.b2 * (coeffs.d / (LN2 * _uplink_denominator(coeffs, alpha)))
 
 
 def _uplink_curvature(coeffs, alpha):

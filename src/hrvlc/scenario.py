@@ -21,7 +21,7 @@ from .errors import (
     ConfigValidationError,
     NoCoverageError,
 )
-from .harvest_uplink import _harvest_term, _libm, _pow
+from .harvest_uplink import _libm, _pow
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +367,7 @@ def _concentrator_gain(n_c, fov):
     is inf: a rate built from it is not finite, and the CLI refuses the
     terminal.
     """
-    sin_sq = _libm(_pow, _libm(math.sin, np.ravel(fov)), 2.0)
+    sin_sq = np.square(_libm(math.sin, np.ravel(fov)))
     if not sin_sq.all():
         i = int(np.argmax(sin_sq == 0.0))
         raise ConfigValidationError(f"mts[{i}].fov_deg",
@@ -400,12 +400,18 @@ def associate(scn, mt_index):
     # rate is built from an inf or a nan
     with np.errstate(all="ignore"):
         d, cos_angle = link_geometry(aps.position, mts.position[mt_index])
+        # cos^m, shared by the gain and the harvest term; a drop whose square
+        # is subnormal can round d below dz, and cos > 1 to a power overflow
+        cos_m = _libm(_pow, cos_angle, aps.m)
         # the line-of-sight gain of each link, as inside the FOV
-        gain = ((aps.m + 1.0) * area * rho * _libm(_pow, cos_angle, aps.m)
+        gain = ((aps.m + 1.0) * area * rho * cos_m
                 * cos_angle * t_s * g) / (2.0 * math.pi * d * d)
         gain[cos_angle < math.cos(fov)] = 0.0  # none outside the FOV
         powers = (aps.power * gain).tolist()
-        terms = _harvest_term(aps.power, d, cos_angle, aps.m).tolist()
+        # the harvest term P_T^2/d^4 * cos^(2m), integer powers as products
+        d_sq = d * d
+        terms = (aps.power * aps.power / (d_sq * d_sq)
+                 * (cos_m * cos_m)).tolist()
     # argmax ties to the lowest index; fmax takes a nan gain as 0
     positive = np.fmax(gain, 0.0)
     best = int(positive.argmax())

@@ -87,7 +87,8 @@ def channel_gain(ap, mt):
     d, cos_angle = link_reference(ap, mt)
     if cos_angle < math.cos(mt.fov):
         return ChannelGain(0.0, False)
-    g = mt.refractive_index * mt.refractive_index / math.sin(mt.fov) ** 2
+    sin = math.sin(mt.fov)
+    g = mt.refractive_index * mt.refractive_index / (sin * sin)
     m = lambertian_order_reference(ap.half_angle)
     return ChannelGain(((m + 1.0) * mt.area * mt.responsivity * cos_angle ** m
                         * cos_angle * mt.filter_gain * g)
@@ -95,10 +96,12 @@ def channel_gain(ap, mt):
 
 
 def harvest_term_reference(ap, mt):
-    """P_T^2/d^4 * cos^(2m) of one AP-to-MT link, in Python floats."""
+    """P_T^2/d^4 * cos^(2m) of one AP-to-MT link, in Python floats, its
+    integer powers as products of cos^m and d^2 as ``associate`` takes them."""
     d, cos_angle = link_reference(ap, mt)
-    m = lambertian_order_reference(ap.half_angle)
-    return (ap.power ** 2 / d ** 4) * cos_angle ** (2.0 * m)
+    cos_m = cos_angle ** lambertian_order_reference(ap.half_angle)
+    d_sq = d * d
+    return (ap.power * ap.power / (d_sq * d_sq)) * (cos_m * cos_m)
 
 
 def associate_reference(scn, mt_index):
@@ -250,9 +253,11 @@ def rician_pdf(r, k, omega):
 
 
 def rician_reference(k, omega, rng, n):
-    """n envelope samples: n real normals from ``rng``, then n imaginary."""
-    z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-    return math.sqrt(omega / (1.0 + k)) * np.abs(math.sqrt(k) + z)
+    """n envelope samples: n in-phase normals from ``rng``, then n
+    quadrature ones, each pair's modulus taken by libm's hypot."""
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    return math.sqrt(omega / (1.0 + k)) * np.hypot(
+        math.sqrt(k) + x / math.sqrt(2.0), y / math.sqrt(2.0))
 
 
 def fading_power_reference(k, omega, seed, draw_index):

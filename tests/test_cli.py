@@ -494,10 +494,13 @@ class TestMainExitCodes:
                      "mts[0]: uplink rate B_r*log2(1 + E_H*|h|^2/(T_u*N0*"
                      "rf_distance^pathloss_exp)) is not finite",
                      id="power-square-overflow"),
-        pytest.param({"params": {"T_d": 1.7976931348623157e308,
-                                 "T_u": 1.7976931348623157e308}},
-                     "mts[0]: uplink rate slope at alpha = 0 is not finite",
-                     id="uplink-slope-overflow"),
+        # the drop squares to a subnormal that rounds down, so d < dz: a
+        # cosine of 1.05 to the Lambertian order of 0.5 degrees overflows
+        pytest.param({"aps": {"pos": [2.0, 2.0, 3.3e-162],
+                              "half_angle_deg": 0.5},
+                      "mts": {"pos": [2.0, 2.0, 0.0]}},
+                     "mts[0]: downlink rate B_v*log2(1 + P_T*G/(N0*B_v + "
+                     "interference)) is not finite", id="cosine-above-one"),
         pytest.param({"params": {"B_v": 4e306, "N0": 1e-320, "T_u": 2e299,
                                  "B_r": 1.36e306}},
                      "mts[0]: peak total rate, downlink + uplink at alpha = "
@@ -520,6 +523,53 @@ class TestMainExitCodes:
         assert code == 1
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_slope_numerator_past_the_floats_solves(self, tmp_path, capsys,
+                                                    route):
+        # B_r*E_H*|h|^2 overflows, but the slope divides d by its
+        # denominator first, so the rate guard passes and each route writes
+        # finite cells without a warning
+        doc = json.loads(Path(SINGLE_AP).read_text(encoding="utf-8"))
+        doc["params"].update(T_d=1.7976931348623157e308,
+                             T_u=1.7976931348623157e308)
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(route + ["--config", str(cfg), "--mt", "0",
+                                 "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_rows(out)
+        assert rows and all(math.isfinite(float(cell)) for row in rows
+                            for cell in row if cell not in (
+                                "", "mean", "std", route[-1]))
+
+    @pytest.mark.parametrize("config, params", [
+        pytest.param(SINGLE_AP, {"T_d": 1.7976931348623157e308,
+                                 "T_u": 1.7976931348623157e308},
+                     id="slope-numerator-overflow"),
+        # b2*d is subnormal: R* is flat to its last bit over much of [0, 1],
+        # so only R*, not alpha*, is the routes' to agree on
+        pytest.param(TWO_AP, {"B_v": 5e-324, "B_r": 5e-324},
+                     id="subnormal-bandwidths"),
+    ])
+    def test_the_three_routes_write_one_rate(self, tmp_path, config,
+                                             params):
+        doc = json.loads(Path(config).read_text(encoding="utf-8"))
+        doc["params"].update(params)
+        cfg = tmp_path / "edge.json"
+        cfg.write_text(json.dumps(doc))
+        rates = []
+        for method in ("closed", "iter", "grid"):
+            out = tmp_path / f"{method}.csv"
+            assert main(["solve", "--method", method, "--config", str(cfg),
+                         "--mt", "0", "--out", str(out)]) == 0
+            rates.append(float(read_rows(out)[1][0][1]))
+        closed, bisected, grid = rates
+        # the grid's R* is within its resolution: exact for a subnormal R*
+        assert bisected == closed and abs(grid - closed) <= 1e-9 * closed
 
     def test_summary_past_the_floats_is_one(self, tmp_path, capsys):
         # every R* is about 5.9e301 and finite, so solve writes it; the std
@@ -573,12 +623,12 @@ class TestMainExitCodes:
         pytest.param({"params": {"B_v": 5e-324}},
                      ["solve", "--method", "closed"],
                      b"alpha_star,R_star,lambda,mu,method,iterations\n"
-                     b"0,838030536.38944554,0,19807995.259205051,closed,0\n",
+                     b"0,838030536.38944554,0,19807995.259205054,closed,0\n",
                      id="root-solve"),
         pytest.param({"params": {"B_v": 5e-324}},
                      ["montecarlo", "--draws", "20"],
-                     "0459aa88c8f526c5afacbfd6fcfba804c690dede68a2f8c3f351d3"
-                     "02fcc3bf99", id="root-montecarlo"),
+                     "4529eb422571ed7014784bd1dd7a47e4ff399205ea552b82e8e6f4"
+                     "b6737514b7", id="root-montecarlo"),
         pytest.param({"params": {"N0": 1e307, "T_d": 1e300}}, ["converge"],
                      b"iteration,alpha,residual\n1,0,0\n1,0,0\n1,0,0\n",
                      id="noise-floor-swap"),
@@ -586,8 +636,8 @@ class TestMainExitCodes:
         # at alpha = 1 overflows, while the one at 0 is finite
         pytest.param({"params": {"T_u": 1e-289}, "aps[1]": {"P_T": 0.0}},
                      ["montecarlo", "--draws", "20"],
-                     "de27188c7a3e609e10914a586f441957eafd15d06aa7425aed6f92"
-                     "b67585dcfd", id="slope-at-one-montecarlo"),
+                     "074b002f785e9acb41c07ef4a611b486a911e0da8a4ae4bca00734"
+                     "f4b93bf714", id="slope-at-one-montecarlo"),
     ])
     def test_overflow_handled_on_the_way_is_quiet(self, tmp_path, capsys,
                                                   patch, route, want):
@@ -1075,9 +1125,9 @@ def test_any_field_value_solves_or_exits_one(tmp_path, capsys, patch):
     # a config the loader and the rate guard pass is solved warning-free
     # to finite cells, and closed form and bisection agree on R*; one they
     # refuse exits 1 with one line and no file. R* and not alpha*: near a
-    # subnormal b2*d the two routes' alpha* part from about the 8th digit.
-    # An R* below the normal floats carries fewer bits than 1e-9 resolves,
-    # so the tolerance stops shrinking there.
+    # subnormal b2*d, R* is flat over a span of alpha. An R* below the
+    # normal floats carries fewer bits than 1e-9 resolves, so there the
+    # routes agree to one step of the subnormal grid.
     doc = json.loads(json.dumps(_TWO_AP_DOC))
     for (section, index, key), value in patch:
         (doc[section] if index is None else doc[section][index])[key] = value
@@ -1109,4 +1159,4 @@ def test_any_field_value_solves_or_exits_one(tmp_path, capsys, patch):
     assert codes[0] == codes[1]
     if codes[0] == 0:
         assert rates[0] == pytest.approx(rates[1], rel=1e-9,
-                                         abs=1e-9 * sys.float_info.min)
+                                         abs=math.ulp(0.0))

@@ -1,35 +1,45 @@
-"""Ratchet on numpy transcendentals in the package source.
+"""Ratchet on numpy transcendentals and complex values in the package source.
 
 README promises byte-identical CSVs for the same config, command and seed,
 but numpy picks SIMD kernels for exp, log, pow and the like by CPU, and
 those can differ from libm in the last ulp; the package takes such calls
-through ``harvest_uplink._libm`` instead.  This test walks ``src/hrvlc``
-with ``ast`` and fails on any call ``np.<f>`` of a name below, so no new
-CPU-dependent kernel slips in while the known one waits on the fix.
+through ``harvest_uplink._libm`` instead.  numpy's complex modulus is such
+a kernel too, and a scan by name cannot tell ``np.abs`` of a complex array
+from one of a real array, so the package holds no complex value at all:
+the Rician envelope takes its modulus through ``np.hypot``, which calls
+libm.  The ratchet walks ``src/hrvlc`` with ``ast`` and fails on any call
+``np.<f>`` of a name below and on any complex literal.
 
-The one allowed call is the uplink ``np.log2`` in ``objective.total_rate``
-(ROADMAP item 2); when it goes, so must its allowance.  Item 2's other
-offender is ``np.abs`` of a complex array in ``rician_envelope``: ``abs``
-is exact on reals, so a scan by name cannot tell that call apart, and it
-is not checked here.
+numpy's own switch ``NPY_DISABLE_CPU_FEATURES`` then shows the rule holds:
+it masks SIMD paths for one process, so the same commands run under the
+default dispatch, the AVX2 paths and the baseline paths must write the
+same bytes.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hrvlc"
+import pytest
+
+import hrvlc
+
+SRC = Path(hrvlc.__file__).resolve().parent
+TWO_AP = (Path(__file__).resolve().parent.parent / "configs"
+          / "two_ap_room.json")
 
 TRANSCENDENTALS = {
     "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "power",
     "float_power", "cbrt", "tan", "sinh", "cosh", "tanh",
 }
 
-# (module, enclosing function, numpy function) of each call still allowed
-PENDING = {("objective.py", "total_rate", "log2")}
 
-
-def _numpy_transcendental_calls(module, source):
-    """(module, enclosing function, name) of each ``np.<name>(...)`` call."""
+def _cpu_dependent_nodes(module, source):
+    """(module, enclosing function, what) of each ``np.<name>(...)`` call of
+    a transcendental, and of each complex constant, named ``complex``."""
     found = []
 
     def visit(node, function):
@@ -42,6 +52,8 @@ def _numpy_transcendental_calls(module, source):
                 and (node.func.attr in TRANSCENDENTALS
                      or node.func.attr.startswith("arc"))):
             found.append((module, function, node.func.attr))
+        if isinstance(node, ast.Constant) and isinstance(node.value, complex):
+            found.append((module, function, "complex"))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -50,17 +62,69 @@ def _numpy_transcendental_calls(module, source):
 
 
 def test_no_new_numpy_transcendental():
-    calls = [call for path in sorted(SRC.glob("*.py"))
-             for call in _numpy_transcendental_calls(
-                 path.name, path.read_text(encoding="utf-8"))]
-    assert sorted(calls) == sorted(PENDING)
+    # nor a complex value
+    assert [found for path in sorted(SRC.glob("*.py"))
+            for found in _cpu_dependent_nodes(
+                path.name, path.read_text(encoding="utf-8"))] == []
 
 
 def test_the_scan_sees_each_kind_of_call():
     source = ("import numpy as np\n"
               "def f(x):\n"
               "    return np.exp(x) + np.arctan2(x, x) + np.sqrt(x)\n"
-              "y = np.power(2.0, 3.0)\n")
-    assert _numpy_transcendental_calls("m.py", source) == [
+              "y = np.power(2.0, 3.0)\n"
+              "def g(x, y):\n"
+              "    return np.abs(x + 1j * y) + np.abs(x)\n")
+    assert _cpu_dependent_nodes("m.py", source) == [
         ("m.py", "f", "exp"), ("m.py", "f", "arctan2"),
-        ("m.py", None, "power")]
+        ("m.py", None, "power"), ("m.py", "g", "complex")]
+
+
+# the dispatched x86 feature sets a CPU may lack, masked down to AVX2, then
+# to the baseline
+MASKS = {"avx2": "X86_V4 AVX512_ICL AVX512_SPR",
+         "baseline": "X86_V4 AVX512_ICL AVX512_SPR X86_V3"}
+CALLS = (["sweep", "--points", "1001"], ["solve", "--method", "grid"],
+         ["montecarlo", "--draws", "200"])
+# runs each argv of argv[1] (a JSON list) through main, writing argv[2]/<k>
+CHILD = ("import json, sys\n"
+         "from hrvlc.cli import main\n"
+         "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
+         "    assert main(argv + ['--out', f'{sys.argv[2]}/{k}']) == 0\n")
+
+
+def _outputs(outdir, mask):
+    """The bytes CALLS write on the two-AP room under a dispatch mask.
+
+    numpy refuses a mask that names no feature it dispatches (on another
+    architecture, say) with an ImportWarning, which fails the child here.
+    """
+    outdir.mkdir()
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    if mask is not None:
+        env["NPY_DISABLE_CPU_FEATURES"] = mask
+    argvs = [call + ["--config", str(TWO_AP), "--mt", "0"] for call in CALLS]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::ImportWarning",
+         "-W", "error::RuntimeWarning", "-c", CHILD, json.dumps(argvs),
+         str(outdir)], env=env, capture_output=True, text=True, timeout=120)
+    if proc.returncode and "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
+        reason = proc.stderr.rpartition("ImportWarning: ")[2]
+        pytest.skip(f"numpy refuses the mask {mask!r}: "
+                    + " ".join(reason.split()))
+    assert proc.returncode == 0, proc.stderr
+    return [(outdir / str(k)).read_bytes() for k in range(len(CALLS))]
+
+
+@pytest.fixture(scope="module")
+def default_outputs(tmp_path_factory):
+    return _outputs(tmp_path_factory.mktemp("dispatch") / "default", None)
+
+
+@pytest.mark.parametrize("mask", MASKS.values(), ids=MASKS.keys())
+def test_output_bytes_do_not_depend_on_the_simd_paths(tmp_path,
+                                                      default_outputs, mask):
+    assert _outputs(tmp_path / "masked", mask) == default_outputs
