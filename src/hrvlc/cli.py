@@ -16,21 +16,43 @@ from dataclasses import replace
 
 import numpy as np
 
+from .csv_kernel import table_bytes
 from .errors import (ConfigValidationError, ConvergenceError, HrvlcError,
                      MalformedCsvError)
 from .harvest_uplink import rician_envelope
-from .objective import (_uplink_slope, downlink_log_term, reduce_coefficients,
-                        total_rate)
+from .objective import downlink_log_term, reduce_coefficients, total_rate
 from .optimizer import (DEFAULT_EPS, grid_oracle, solve_closed_form,
                         solve_iterative)
 from .scenario import associate, load_scenario
 
 
-def _write_csv(out_path, header, template, rows, tail=""):
-    """The header line, ``template % row`` per row, then ``tail`` verbatim."""
-    body = "".join([template % row for row in rows])
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines([header, "\n", body, tail])
+# A numeric table of this many cells or more is written by the kernel, a
+# smaller one by the row template: the kernel's fixed cost, about 0.1 ms,
+# outweighs its saving per cell below it.  The sweep, converge and
+# montecarlo shapes cross at about 260, 350 and 450 cells.
+_KERNEL_MIN_CELLS = 400
+_SPECS = {"f": "%.17g", "i": "%d", "u": "%d"}
+
+
+def _write_csv(out_path, header, columns, tail=""):
+    """The header line, a row per index of the equal-length ``columns``, then
+    ``tail`` verbatim.
+
+    A float column's cells are written as ``%.17g``, an integer column's as
+    ``%d`` and any other's as ``%s``.  A numeric table of at least
+    ``_KERNEL_MIN_CELLS`` cells takes ``csv_kernel.table_bytes``, which writes
+    the row template's bytes.
+    """
+    columns = [np.asarray(col) for col in columns]
+    specs = [_SPECS.get(col.dtype.kind, "%s") for col in columns]
+    if "%s" in specs or columns[0].size * len(columns) < _KERNEL_MIN_CELLS:
+        template = ",".join(specs) + "\n"
+        body = "".join([template % row for row in
+                        zip(*(col.tolist() for col in columns))]).encode()
+    else:
+        body = table_bytes(columns)
+    with open(out_path, "wb") as fh:
+        fh.writelines([header.encode(), b"\n", body, tail.encode()])
 
 
 def _fading_power(k, omega, seed, n_draws):
@@ -84,13 +106,13 @@ def _prepare(config_path, mt_index, seed, n_draws=None):
 
 
 def _check_rates(coeffs, mt_index):
-    """Refuse a terminal whose rates, or uplink slope, are not finite.
+    """Refuse a terminal whose rates are not finite.
 
     A config with every field in range can still leave float64 behind: an
     uplink noise product that underflows to 0, or a noise floor so small
     that the SINR overflows, makes a rate inf or nan, and the solver routes
-    then divide by zero or disagree.  The uplink rate and its slope peak at
-    alpha = 0, and the downlink rate plus that peak bounds R(alpha).
+    then divide by zero or disagree.  The uplink rate peaks at alpha = 0,
+    and the downlink rate plus that peak bounds R(alpha).
     """
     with np.errstate(all="ignore"):
         down = downlink_log_term(coeffs)
@@ -100,9 +122,6 @@ def _check_rates(coeffs, mt_index):
              down),
             ("uplink rate B_r*log2(1 + E_H*|h|^2/(T_u*N0*rf_distance"
              "^pathloss_exp))", up),
-            # a Python-float alpha would raise on a zero denominator
-            ("uplink rate slope at alpha = 0",
-             _uplink_slope(coeffs, np.float64(0.0))),
             ("peak total rate, downlink + uplink at alpha = 0", down + up))
     for name, value in checks:
         if not np.isfinite(value).all():
@@ -118,10 +137,8 @@ def cmd_sweep(config_path, mt_index, n_points, seed, out_path):
     _check_rates(coeffs, mt_index)
     ev = total_rate(coeffs, np.linspace(0.0, 1.0, n_points))
     e_h = (1.0 - ev.alpha) * assoc.k1 + assoc.k2
-    cols = (ev.alpha, ev.total, ev.downlink_term, ev.uplink_term, e_h)
     _write_csv(out_path, "alpha,R_total,R_d_term,R_u_term,E_H",
-               "%.17g,%.17g,%.17g,%.17g,%.17g\n",
-               zip(*(col.tolist() for col in cols)))
+               (ev.alpha, ev.total, ev.downlink_term, ev.uplink_term, e_h))
 
 
 def cmd_solve(config_path, mt_index, method, seed, out_path,
@@ -135,7 +152,7 @@ def cmd_solve(config_path, mt_index, method, seed, out_path,
            else grid_oracle(coeffs, n_points))
     row = (res.alpha, res.rate, res.lam, res.mu, method, len(res.trace))
     _write_csv(out_path, "alpha_star,R_star,lambda,mu,method,iterations",
-               "%.17g,%.17g,%.17g,%.17g,%s,%d\n", [row])
+               [[cell] for cell in row])
 
 
 def cmd_converge(config_path, mt_index, eps, seed, out_path):
@@ -151,7 +168,7 @@ def cmd_converge(config_path, mt_index, eps, seed, out_path):
     for trace, alpha in zip(res.trace, res.alpha.tolist()):
         # boundary binding: one iteration, no bisection residual
         rows.extend(trace or [(1, alpha, 0.0)])
-    _write_csv(out_path, "iteration,alpha,residual", "%d,%.17g,%.17g\n", rows)
+    _write_csv(out_path, "iteration,alpha,residual", list(zip(*rows)))
 
 
 def cmd_montecarlo(config_path, mt_index, n_draws, seed, out_path):
@@ -163,8 +180,6 @@ def cmd_montecarlo(config_path, mt_index, n_draws, seed, out_path):
     _, _, h_sq, coeffs = _prepare(config_path, mt_index, seed, n_draws)
     _check_rates(coeffs, mt_index)
     res = solve_closed_form(coeffs)
-    rows = zip(range(n_draws), h_sq.tolist(), res.alpha.tolist(),
-               res.rate.tolist())
     with np.errstate(over="ignore"):  # np.std squares the deviations
         summary = [(stat, f(res.alpha), f(res.rate))
                    for stat, f in (("mean", np.mean), ("std", np.std))]
@@ -172,7 +187,7 @@ def cmd_montecarlo(config_path, mt_index, n_draws, seed, out_path):
         raise ConfigValidationError(f"mts[{mt_index}]",
                                     "mean or std of R_star is not finite")
     _write_csv(out_path, "draw_index,h_sq,alpha_star,R_star",
-               "%d,%.17g,%.17g,%.17g\n", rows,
+               (np.arange(n_draws), h_sq, res.alpha, res.rate),
                "".join("%s,,%.17g,%.17g\n" % stat for stat in summary))
 
 

@@ -35,6 +35,8 @@ from hrvlc.cli import (
     cmd_sweep,
     main,
 )
+from hrvlc.csv_kernel import table_bytes
+from hrvlc.objective import ReducedCoefficients, _uplink_slope, total_rate
 
 from conftest import CONFIG_DIR
 from oracles import (fading_power_reference, harvested_energy,
@@ -797,34 +799,64 @@ class TestMainExitCodes:
 
 
 class TestCsvWriter:
-    """The row-template writer writes the reference writer's bytes."""
+    """The writer writes the reference writer's bytes, by the row template
+    below ``_KERNEL_MIN_CELLS`` cells and by the kernel from there on."""
 
     EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308, 0.1)
 
     @staticmethod
-    def assert_same_bytes(tmp_path, header, template, rows, tail_rows=()):
+    def assert_same_bytes(tmp_path, monkeypatch, header, rows, tail_rows=(),
+                          numeric=True):
+        """``rows``, then ``rows`` repeated to the kernel's size, write the
+        reference's bytes; the kernel writes the second if ``numeric``."""
+        kernel_rows = []
+
+        def kernel(columns):
+            kernel_rows.append(len(columns[0]))
+            return table_bytes(columns)
+
+        monkeypatch.setattr(hrvlc.cli, "table_bytes", kernel)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         tail = "".join(",".join(map(str, row)) + "\n" for row in tail_rows)
-        hrvlc.cli._write_csv(got, ",".join(header), template, rows, tail)
-        write_csv_reference(want, header, list(rows) + list(tail_rows))
-        assert got.read_bytes() == want.read_bytes()
+        cells = len(rows) * len(rows[0])
+        assert cells < hrvlc.cli._KERNEL_MIN_CELLS
+        for copies in (1, -(-hrvlc.cli._KERNEL_MIN_CELLS // cells)):
+            table = list(rows) * copies
+            hrvlc.cli._write_csv(got, ",".join(header), list(zip(*table)),
+                                 tail)
+            write_csv_reference(want, header, table + list(tail_rows))
+            assert got.read_bytes() == want.read_bytes()
+        assert kernel_rows == ([len(table)] if numeric else [])
 
     @pytest.mark.parametrize("kind", [float, np.float64, np.array],
                              ids=["float", "float64", "0-d-array"])
-    def test_float_extremes(self, tmp_path, kind):
+    def test_float_extremes(self, tmp_path, monkeypatch, kind):
         rows = [(kind(x), kind(-x)) for x in self.EXTREMES]
-        self.assert_same_bytes(tmp_path, ["a", "b"], "%.17g,%.17g\n", rows)
+        self.assert_same_bytes(tmp_path, monkeypatch, ["a", "b"], rows)
 
-    def test_integer_columns(self, tmp_path):
+    def test_integer_columns(self, tmp_path, monkeypatch):
+        # a text column keeps the row template at any size
         rows = [(0, np.int64(-1), "closed"),
                 (10 ** 20, np.int64(2 ** 63 - 1), "grid")]
-        self.assert_same_bytes(tmp_path, ["i", "j", "method"], "%d,%d,%s\n",
-                               rows)
+        self.assert_same_bytes(tmp_path, monkeypatch, ["i", "j", "method"],
+                               rows, numeric=False)
 
-    def test_summary_tail(self, tmp_path):
+    def test_integer_columns_to_the_largest_draw_index(self, tmp_path,
+                                                       monkeypatch):
+        # 2**32 is the largest draw_index; from 2**53 an integer's float
+        # is inexact, and the kernel writes it by %d
+        draws = [0, 1, 9, 10, 99, 2 ** 31, 2 ** 32 - 1, 2 ** 32]
+        others = [-1, -2 ** 32, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1,
+                  2 ** 63 - 1, -2 ** 63, 10 ** 16]
+        rows = [(np.int64(i), np.int64(j), x)
+                for i, j, x in zip(draws, others, self.EXTREMES * 2)]
+        self.assert_same_bytes(tmp_path, monkeypatch,
+                               ["draw_index", "j", "x"], rows)
+
+    def test_summary_tail(self, tmp_path, monkeypatch):
         rows = [(i, np.float64(x), x) for i, x in enumerate(self.EXTREMES)]
-        self.assert_same_bytes(tmp_path, ["draw_index", "h_sq", "alpha"],
-                               "%d,%.17g,%.17g\n", rows,
+        self.assert_same_bytes(tmp_path, monkeypatch,
+                               ["draw_index", "h_sq", "alpha"], rows,
                                [("mean", "", "0.5"), ("std", "", "0")])
 
     SOLVE = ["alpha_star", "R_star", "lambda", "mu", "method", "iterations"]
@@ -833,6 +865,8 @@ class TestCsvWriter:
     @pytest.mark.parametrize("run, header", [
         (lambda out: cmd_sweep(TWO_AP, 0, 1001, 7, out),
          ["alpha", "R_total", "R_d_term", "R_u_term", "E_H"]),
+        (lambda out: cmd_sweep(TWO_AP, 0, 100001, 7, out),
+         ["alpha", "R_total", "R_d_term", "R_u_term", "E_H"]),
         (lambda out: cmd_solve(TWO_AP, 0, "closed", 7, out), SOLVE),
         (lambda out: cmd_solve(TWO_AP, 0, "iter", 7, out), SOLVE),
         (lambda out: cmd_solve(TWO_AP, 0, "grid", 7, out), SOLVE),
@@ -840,16 +874,17 @@ class TestCsvWriter:
          ["iteration", "alpha", "residual"]),
         (lambda out: cmd_montecarlo(TWO_AP, 0, 1, 7, out), MONTECARLO),
         (lambda out: cmd_montecarlo(TWO_AP, 0, 200, 7, out), MONTECARLO),
-    ], ids=["sweep", "solve-closed", "solve-iter", "solve-grid", "converge",
-            "montecarlo-1", "montecarlo-200"])
+        (lambda out: cmd_montecarlo(TWO_AP, 0, 20000, 7, out), MONTECARLO),
+    ], ids=["sweep", "sweep-100001", "solve-closed", "solve-iter",
+            "solve-grid", "converge", "montecarlo-1", "montecarlo-200",
+            "montecarlo-20000"])
     def test_command_csv(self, tmp_path, monkeypatch, run, header):
         written = []
         write_csv = hrvlc.cli._write_csv
 
-        def spy(out_path, header_line, template, rows, tail=""):
-            rows = list(rows)
-            written.append((rows, tail))
-            write_csv(out_path, header_line, template, rows, tail)
+        def spy(out_path, header_line, columns, tail=""):
+            written.append((list(zip(*columns)), tail))
+            write_csv(out_path, header_line, columns, tail)
 
         monkeypatch.setattr(hrvlc.cli, "_write_csv", spy)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
@@ -1160,3 +1195,22 @@ def test_any_field_value_solves_or_exits_one(tmp_path, capsys, patch):
     if codes[0] == 0:
         assert rates[0] == pytest.approx(rates[1], rel=1e-9,
                                          abs=math.ulp(0.0))
+
+
+# a coefficient from zero through the subnormals to inf
+COEFFICIENT = st.floats(min_value=0.0).map(np.float64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(b2=st.floats(0.0, sys.float_info.max).map(np.float64), d=COEFFICIENT,
+       e=COEFFICIENT, g=COEFFICIENT)
+def test_a_non_finite_uplink_slope_has_a_non_finite_uplink_rate(b2, d, e, g):
+    # so the rate guard checks the uplink rate at alpha = 0 and not its
+    # slope there: b2*d/(ln 2*(g + d + e)) <= b2*log2(1 + (d + e)/g), as
+    # ln(1 + y) >= y/(1 + y)
+    coeffs = ReducedCoefficients(a=1.0, b=1.0, c=0.0, d=d, e=e, g=g, b1=1.0,
+                                 b2=b2)
+    with np.errstate(all="ignore"):
+        slope = _uplink_slope(coeffs, 0.0)
+        rate = total_rate(coeffs, 0.0).uplink_term
+    assert np.isfinite(slope) or not np.isfinite(rate)
