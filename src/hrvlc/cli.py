@@ -27,10 +27,10 @@ from .scenario import associate, load_scenario
 
 
 # A numeric table of this many cells or more is written by the kernel, a
-# smaller one by the row template: the kernel's fixed cost, about 0.1 ms,
+# smaller one by the row template: the kernel's fixed cost, about 0.09 ms,
 # outweighs its saving per cell below it.  The sweep, converge and
-# montecarlo shapes cross at about 260, 350 and 450 cells.
-_KERNEL_MIN_CELLS = 400
+# montecarlo shapes cross at about 210, 235 and 280 cells.
+_KERNEL_MIN_CELLS = 300
 _SPECS = {"f": "%.17g", "i": "%d", "u": "%d"}
 
 

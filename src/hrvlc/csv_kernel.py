@@ -7,17 +7,20 @@ A cell whose rounding the product cannot decide falls back to ``%``.
 
 The digits.  With ``e - 1 = floor(log2 |x|)`` read from the exponent bits,
 ``X0 = floor((e - 1) * log10(2))`` is the integer ``((e - 1) * 78913) >> 18``
-(exact over the exponents taken here), so ``V = |x| * 10**(16 - X0)`` lies
-in [1e16, 2e17).
+(exact over the exponents taken here), so ``|x| * 10**(16 - X0)`` lies in
+[1e16, 2e17).  It rounds to 17 digits when it is below ``1e17 - 1/2``,
+that is when ``|x|`` is below ``T = 10**(X0 + 1) - 10**(X0 - 16) / 2``;
+else the exponent is ``X = X0 + 1``.  ``T`` is never a double, so the least
+double above it, read from a table by the exponent bits, decides this
+exactly.  Then ``V = |x| * 10**(16 - X)`` lies in [1e16 - 0.05, 1e17 - 1/2).
 ``10**s`` is a pair (hi, lo) of correctly rounded doubles, and ``|x| * hi``
 is taken exactly as ``p + err`` by Veltkamp splitting, so ``p + q`` with
 ``q = err + |x| * lo`` is V within 2**-46 (table 2**-48, ``|x| * lo``
-2**-48, the sum into q 2**-47).  p is an integer, as V >= 1e16 > 2**53.
-When V rounds to 1e17 or more, the exponent is ``X0 + 1`` and the digits
-are ``round(V / 10)``, taken as ``p // 10`` plus ``(p % 10 + q) / 10``.
+2**-48, the sum into q 2**-47).  p is an integer, as V > 2**53, and the
+digits are ``p + rint(q)``.
 
-The fallback.  A cell goes to ``%`` when its fraction, or V - 1e17, lies
-within 2**-40 of a half (a tie, or too close to one for the error bound to
+The fallback.  A cell goes to ``%`` when the fraction of q lies within
+2**-40 of a half (a tie, or too close to one for the error bound to
 decide), and when it is 0, -0, inf, nan or outside [1e-280, 1e300], where
 the table and the splitting stop.  An integer cell is the float of its
 value, whose ``%.17g`` is its ``%d`` below 2**53 in magnitude; past that,
@@ -32,14 +35,30 @@ zeroes what ``%.17g`` does not write: the layout is the exponent's form
 (fixed at exponent -4..16, else two or three exponent digits) and the last
 nonzero digit, which fix the prefix, the digits kept and the dot.
 ``bytes.translate`` then drops the zeroed bytes.
+
+The working set.  A table goes in blocks of at most 2**13 cells, and every
+pass of a block writes into one workspace per thread, kept between calls
+and grown only to the largest block written: two 48-byte canvases, a key
+and four bytes of flags and counts per cell, under 1 MB.  The digit
+passes' scratch columns lie in the canvases until the layout's gathers
+overwrite them.  A repeat call so touches no fresh pages, where arrays
+freed at the end of each call go back to the OS and the next call faults
+them in again.  The bytes go out through ``translate`` in pieces of 64 KB,
+below the size at which malloc maps fresh pages, into one ``BytesIO``,
+whose buffer becomes the result uncopied.
 """
 
 import functools
+import io
 import math
+import threading
 
 import numpy as np
 
 _LOW, _HIGH = 1e-280, 1e300
+# the bits of _LOW, and how far |x|'s bits may pass them and stay in range
+_LOW_BITS = np.float64(_LOW).view(np.uint64)
+_SPAN_BITS = np.float64(_HIGH).view(np.uint64) - _LOW_BITS
 _TIE = 2.0 ** -40
 _WIDTH = 48
 _FIXED = range(-4, 17)  # the exponents %.17g writes without an "e"
@@ -48,8 +67,9 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's factor for a double
 # the digit table: 10**4 rows of four digits, then the leading digits
 # "-0.000d." from row _LEAD, then two rows per exponent from _EXPONENT
 _LEAD, _EXPONENT = 10000, 10010
-# cells per pass: a pass's arrays stay in cache, and its peak near 3 MB
-_BLOCK_CELLS = 2 ** 14
+# cells per pass, and canvas bytes per translate
+_BLOCK_CELLS = 2 ** 13
+_PIECE = 2 ** 16
 
 
 def _log10_pow2(e):
@@ -62,21 +82,37 @@ def _tables():
     """The kernel's lookup tables, built once; 10**s in exact integers.
 
     They are built in Python where numpy would run code the commands do
-    not otherwise run, and so map in more of its library.
+    not otherwise run, and so map in more of its library.  The per-cell
+    tables are indexed by ``key = 2 * (|x|'s exponent bits) + (|x| >= T)``,
+    plus 4096 for a negative x.
     """
     e_lo, e_hi = (math.frexp(v)[1] for v in (_LOW, _HIGH))
     x_lo, x_hi = _log10_pow2(e_lo - 1), _log10_pow2(e_hi - 1) + 1
-    # 10**s for s = 16 - X0 as correctly rounded (hi, lo) pairs
-    pairs = []
-    for s in range(16 - x_hi + 1, 16 - x_lo + 1):
+    # 10**s for s = 16 - X as correctly rounded (hi, lo) pairs, and the
+    # least double above T for X0 = 16 - s
+    pairs, above = [], []
+    for s in range(16 - x_hi, 16 - x_lo + 1):
         num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
         hi = num / den
         hi_num, hi_den = hi.as_integer_ratio()
         pairs.append((hi, (num * hi_den - hi_num * den) / (den * hi_den)))
+        # T = (2e17 - 1) / (2 * 10**s): its digits end in 9, so no double
+        t_num, t_den = 2 * 10 ** 17 * den - den, 2 * num
+        t = t_num / t_den
+        t_int, t_int_den = t.as_integer_ratio()
+        above.append(t if t_int * t_den > t_num * t_int_den
+                     else math.nextafter(t, math.inf))
     hi, lo = np.array(pairs).T
     hi_split = hi * _SPLIT
     hi_hi = hi_split - (hi_split - hi)
-    pow10 = (16 - x_hi + 1, hi, lo, hi_hi, hi - hi_hi)
+
+    # by exponent bits: X0 (clipped, as only 1.0 stands for a cell out of
+    # range), then by key: X, the row of 10**(16 - X) and the exponent row
+    x0 = np.clip(_log10_pow2(np.arange(2048) - 1023), x_lo, x_hi - 1)
+    x_key = (x0[:, None] + [0, 1]).ravel()
+    x_key = np.concatenate((x_key, x_key))  # the same for either sign
+    pow10 = tuple(t[x_hi - x_key] for t in (hi, lo, hi_hi, hi - hi_hi))
+    above = np.tile(np.array(above)[x_hi - x0], 2)
 
     # rows "d.d.d.d." for 0000..9999, "-0.000d." for the leading digit,
     # then "e+XXX" with "," and with "\n" for each exponent
@@ -90,7 +126,7 @@ def _tables():
                        for x in range(x_lo, x_hi + 1)])
     chunk_rows = np.concatenate((digits.ravel(),
                                  np.frombuffer(rows, np.uint8)))
-    trailing_zeros = np.zeros(_LEAD, np.intp)  # of 0 read as 0000: 4
+    trailing_zeros = np.zeros(_LEAD, np.int8)  # of 0 read as 0000: 4
     for step in (10, 100, 1000, 10000):
         trailing_zeros[::step] += 1
 
@@ -121,68 +157,36 @@ def _tables():
     fallback = bytearray(_WIDTH)  # a fallback cell keeps its separator
     fallback[45] = 0xff
     masks = np.frombuffer(bytes(keep + signed + fallback), np.uint64)
-    # each exponent's first layout: its form times 17
-    layout_base = 17 * np.array(
-        [x - _FIXED[0] if x in _FIXED else len(_FIXED) + (x * x > 9801)
-         for x in range(x_lo, x_hi + 1)])
+    # each key's mask row at 16 trailing digits: its form times 17, plus 16,
+    # plus _LAYOUTS for a negative x
+    form = np.where((x_key >= _FIXED[0]) & (x_key <= _FIXED[-1]),
+                    x_key - _FIXED[0], len(_FIXED) + (x_key * x_key > 9801))
+    layout = 17 * form + 16
+    layout[4096:] += _LAYOUTS
     # 8-byte rows and masks as one uint64 each
-    return (pow10, chunk_rows.view(np.uint64), trailing_zeros, x_lo,
-            masks.reshape(-1, _WIDTH // 8), layout_base)
+    return (pow10, above, 2 * (x_key - x_lo) + _EXPONENT, layout,
+            chunk_rows.view(np.uint64), trailing_zeros,
+            masks.reshape(-1, _WIDTH // 8))
 
 
-def _product(a, pow10):
-    """(X0, p, q): ``a * 10**(16 - X0)`` is ``p + q`` within 2**-46."""
-    x0 = _log10_pow2((a.view(np.int64) >> 52) - 1023)  # of a normal a
-    hi, lo, hi_hi, hi_lo = (np.take(t, 16 - pow10[0] - x0)
-                            for t in pow10[1:])
-    a_hi = a * _SPLIT
-    a_hi -= a_hi - a
-    a_lo = a - a_hi
-    p = a * hi
-    q = ((((a_hi * hi_hi - p) + a_hi * hi_lo) + a_lo * hi_hi) + a_lo * hi_lo
-         + a * lo)
-    return x0, p, q
+class _Workspace(threading.local):
+    """One thread's block arrays, kept between calls and grown to the
+    largest block written."""
+
+    capacity = 0
+
+    def reserve(self, cells):
+        if cells > self.capacity:
+            self.capacity = cells
+            # the canvas, and the index and then the masks it gathers
+            self.canvases = np.empty((2, cells, _WIDTH // 8), np.uint64)
+            self.key = np.empty(cells, np.int64)
+            # the fallback, a flag, the trailing zeros and a step of them
+            self.flags = np.empty((4, cells), np.int8)
+        return self
 
 
-def _digits(a, pow10, x_lo):
-    """(N, X - x_lo, undecided) of the floats ``a`` in [1e-280, 1e300]: a
-    rounds to ``N * 10**(X - 16)`` at 17 digits, 1e16 <= N < 1e17, but
-    where ``undecided``."""
-    x0, p, q = _product(a, pow10)
-    ip = p.astype(np.int64)
-    # V - 1e17, exact to 2**-45 where it is near -1/2
-    over = (ip - 10 ** 17) + q
-    big = over >= -0.5  # V rounds to 1e17 or more: N is round(V / 10)
-    scale = np.where(big, 10, 1)
-    base = ip // scale
-    t = (ip - base * scale + q) / scale
-    whole = np.floor(t)
-    t -= whole
-    undecided = (np.abs(t - 0.5) <= _TIE) | (np.abs(over + 0.5) <= _TIE)
-    n = base + whole.astype(np.int64) + (t > 0.5)
-    return n, x0 + big - x_lo, undecided
-
-
-def _chunks(n, trailing_zeros):
-    """(index, last): the digit-table rows of the 17 digits ``n``, the
-    leading digit and four of four digits, in the first five of six index
-    columns; and the place of the last nonzero digit, 0..16."""
-    head = n // 10 ** 8
-    tail = n - head * 10 ** 8
-    index = np.empty((n.size, 6), np.intp)
-    index[:, 0] = head // 10 ** 8
-    index[:, 1] = head // 10 ** 4 - index[:, 0] * 10 ** 4
-    index[:, 2] = head - head // 10 ** 4 * 10 ** 4
-    index[:, 3] = tail // 10 ** 4
-    index[:, 4] = tail - index[:, 3] * 10 ** 4
-    # trailing zeros of the last eight digits and of the eight before
-    # them; a 0000 chunk counts 4 and adds the chunk before it
-    low = np.take(trailing_zeros, index[:, 4])
-    low += (index[:, 4] == 0) * np.take(trailing_zeros, index[:, 3])
-    high = np.take(trailing_zeros, index[:, 2])
-    high += (index[:, 2] == 0) * np.take(trailing_zeros, index[:, 1])
-    index[:, 0] += _LEAD
-    return index, 16 - low - (tail == 0) * high
+_WORKSPACE = _Workspace()
 
 
 def table_bytes(columns):
@@ -192,45 +196,147 @@ def table_bytes(columns):
     ``'%d' % v``; cells end in "," and each row in "\\n".
     """
     rows = max(1, _BLOCK_CELLS // len(columns))
-    return b"".join([_block_bytes([col[i:i + rows] for col in columns])
-                     for i in range(0, columns[0].size, rows)])
+    ws = _WORKSPACE.reserve(min(columns[0].size, rows) * len(columns))
+    out = io.BytesIO()
+    for i in range(0, columns[0].size, rows):
+        _write_block([col[i:i + rows] for col in columns], ws, out)
+    return out.getvalue()
 
 
-def _block_bytes(columns):
-    """``table_bytes`` of one block of rows."""
-    pow10, chunk_rows, trailing_zeros, x_lo, masks, layout_base = _tables()
+def _write_block(columns, ws, out):
+    """Write ``table_bytes`` of one block of rows to the file ``out``, in
+    the workspace ``ws``."""
+    (pow10, above, exponent_rows, layout, chunk_rows, trailing_zeros,
+     masks) = _tables()
     n_rows, n_cols = columns[0].size, len(columns)
-    ints = [col.dtype.kind in "iu" for col in columns]
-    x = np.stack(columns, axis=1, dtype=float).ravel()
-    a = np.abs(x)
-    fallback = ~((a >= _LOW) & (a <= _HIGH))
-    if any(ints):  # an integer's float is exact below 2**53
-        fallback |= np.tile(ints, n_rows) & (a >= 2.0 ** 53)
-    a[fallback] = 1.0
-    n, x_row, undecided = _digits(a, pow10, x_lo)
-    del a  # arrays go once used: a block's peak memory is the RSS it adds
-    fallback |= undecided
-    index, last = _chunks(n, trailing_zeros)
+    n_cells = n_rows * n_cols
+    canvas, index = ws.canvases[:, :n_cells]
+    # twelve columns in the same space, 0-5 in the canvas's and 6-11 in
+    # the index's: x and |x| in 10 and 11, the digits n in 0 until the
+    # index is written, and scratch in the rest.  Every gather writes
+    # straight into its out array in mode "clip" (the default mode
+    # buffers it); its indices are in range by construction.
+    f = ws.canvases.reshape(12, -1)[:, :n_cells].view(float)
+    i = f.view(np.int64)
+    key, flags = ws.key[:n_cells], ws.flags[:, :n_cells]
+    fallback, flag = flags[:2].view(bool)
+
+    x, a = f[10], f[11]
+    for j, column in enumerate(columns):
+        x[j::n_cols] = column
+    np.abs(x, out=a)
+    # out of range, nan too, where |x|'s bits pass _LOW's by more than
+    # the span, as unsigned integers
+    np.subtract(a.view(np.uint64), _LOW_BITS, out=i[1].view(np.uint64))
+    np.greater(i[1].view(np.uint64), _SPAN_BITS, out=fallback)
+    for j, column in enumerate(columns):
+        if column.dtype.kind in "iu":  # exact as a float below 2**53
+            np.greater_equal(a[j::n_cols], 2.0 ** 53, out=flag[:n_rows])
+            fallback[j::n_cols] |= flag[:n_rows]
+    np.copyto(x, 1.0, where=fallback)
+    np.copyto(a, 1.0, where=fallback)
+
+    # key = 2 * (x's sign and exponent bits) + (|x| >= T)
+    np.right_shift(x.view(np.uint64), 52, out=key.view(np.uint64))
+    np.take(above, key, out=f[1], mode="clip")
+    np.greater_equal(a, f[1], out=i[2])
+    key <<= 1
+    key += i[2]
+    q = _digits(a, key, pow10, i[0], f[1:7])
+    np.greater_equal(q, 0.5 - _TIE, out=flag)
+    fallback |= flag
+    zeros = _chunks(i[:6], index.view(np.intp), trailing_zeros, flags[2:])
 
     # the exponent's row, with "\n" after a row's last cell
-    index[:, 5] = 2 * x_row + _EXPONENT
+    np.take(exponent_rows, key, out=i[5], mode="clip")
+    index[:, 5] = i[5]
     index[n_cols - 1::n_cols, 5] += 1
-    canvas = np.take(chunk_rows, index)
-    del index
-    key = np.take(layout_base, x_row) + last
-    key[np.signbit(x)] += _LAYOUTS
-    key[fallback] = len(masks) - 1
-    canvas &= np.take(masks, key, axis=0)
-    canvas = canvas.view(np.uint8).reshape(-1, _WIDTH)
+    np.take(layout, key, out=i[1], mode="clip")
+    np.subtract(i[1], zeros, out=key)
+    np.copyto(key, len(masks) - 1, where=fallback)
+    np.take(chunk_rows, index.view(np.intp), out=canvas, mode="clip")
+    np.take(masks, key, axis=0, out=index, mode="clip")
+    canvas &= index
+    text = canvas.view(np.uint8).reshape(-1, _WIDTH)
     cells = np.flatnonzero(fallback)
     if cells.size:
         # each fallback text, at most 24 bytes ("-2.2250738585072014e-308"
         # or an int64), NUL-padded before its separator
         row, col = np.divmod(cells, n_cols)
-        texts = [("%d" if ints[j] else "%.17g") % columns[j][i]
-                 for i, j in zip(row.tolist(), col.tolist())]
-        canvas[cells, :24] = np.array(texts, "S24").view(np.uint8).reshape(
+        texts = [("%d" if columns[j].dtype.kind in "iu" else "%.17g")
+                 % columns[j][r] for r, j in zip(row.tolist(), col.tolist())]
+        text[cells, :24] = np.array(texts, "S24").view(np.uint8).reshape(
             -1, 24)
-    body = canvas.tobytes()
-    del canvas
-    return body.translate(None, b"\0")
+    text = text.reshape(-1)
+    for start in range(0, text.size, _PIECE):
+        out.write(text[start:start + _PIECE].tobytes().translate(None, b"\0"))
+
+
+def _digits(a, key, pow10, n, scratch):
+    """The digits ``n`` of the floats ``a`` in [1e-280, 1e300]: a rounds to
+    ``n * 10**(X - 16)``, 1e16 <= n < 1e17, with X read by ``key``; where
+    the returned ``|q - rint(q)|`` is within 2**-40 of a half, undecided.
+    The six float columns ``scratch`` are overwritten."""
+    hi, lo, hi_hi, hi_lo = pow10
+    p, q, a_hi, a_lo, u, t = scratch
+    np.take(hi, key, out=p, mode="clip")
+    p *= a
+    np.multiply(a, _SPLIT, out=a_hi)
+    np.subtract(a_hi, a, out=a_lo)
+    a_hi -= a_lo
+    np.subtract(a, a_hi, out=a_lo)
+    # q = (((a_hi*hi_hi - p) + a_hi*hi_lo) + a_lo*hi_hi) + a_lo*hi_lo + a*lo
+    np.take(hi_hi, key, out=t, mode="clip")
+    np.multiply(a_hi, t, out=q)
+    q -= p
+    t *= a_lo
+    np.take(hi_lo, key, out=u, mode="clip")
+    a_hi *= u
+    q += a_hi
+    q += t
+    u *= a_lo
+    q += u
+    np.take(lo, key, out=t, mode="clip")
+    t *= a
+    q += t
+    # p is an integer, so n is p + rint(q), with rint(q) as an integer in
+    # a_hi's column
+    np.rint(q, out=u)
+    np.copyto(n, p, casting="unsafe")
+    whole = a_hi.view(np.int64)
+    np.copyto(whole, u, casting="unsafe")
+    n += whole
+    q -= u
+    return np.abs(q, out=q)
+
+
+def _chunks(cols, index, trailing_zeros, counts):
+    """Into ``index``'s first five columns, the digit-table rows of the 17
+    digits in ``cols[0]``: the leading digit and four of four digits.
+    Returns the count of zeros after the last nonzero digit, 0..16, in
+    ``counts[0]``; the columns ``cols`` and ``counts`` are overwritten."""
+    n, head, chunks = cols[0], cols[1], cols[2:6]
+    np.floor_divide(n, 10 ** 8, out=head)  # the leading nine digits
+    np.multiply(head, 10 ** 8, out=chunks[3])
+    tail = np.subtract(n, chunks[3], out=n)  # the last eight
+    np.floor_divide(tail, 10 ** 4, out=chunks[2])
+    np.multiply(chunks[2], 10 ** 4, out=chunks[3])
+    np.subtract(tail, chunks[3], out=chunks[3])
+    np.floor_divide(head, 10 ** 4, out=chunks[0])  # the leading five
+    np.multiply(chunks[0], 10 ** 4, out=chunks[1])
+    np.subtract(head, chunks[1], out=chunks[1])
+    np.floor_divide(head, 10 ** 8, out=head)  # the leading digit
+    np.add(head, _LEAD, out=index[:, 0])
+    head *= 10 ** 4
+    chunks[0] -= head
+    index[:, 1:5] = chunks.T
+    # the trailing zeros, chunk by chunk: a 0000 chunk counts 4 and adds
+    # those of the chunks before it
+    zeros, step = counts
+    np.take(trailing_zeros, chunks[0], out=zeros, mode="clip")
+    for chunk in chunks[1:]:
+        np.equal(chunk, 0, out=step)
+        zeros *= step
+        np.take(trailing_zeros, chunk, out=step, mode="clip")
+        zeros += step
+    return zeros
