@@ -157,11 +157,13 @@ def cmd_solve(config_path, mt_index, method, seed, out_path,
 
 def cmd_converge(config_path, mt_index, eps, seed, out_path):
     """Bisection traces, one block per VLC bandwidth in the config sweep list."""
-    scn, _, _, coeffs = _prepare(config_path, mt_index, seed)
-    # association does not depend on B_v: swap only b = N0*B_v and b1 = B_v
+    scn, assoc, h_sq, _ = _prepare(config_path, mt_index, seed)
+    # the association and the fade do not depend on B_v: reduce them again
+    # with B_v the sweep array
     b_v = np.array(scn.bv_sweep or (scn.params.b_v,))
+    sweep = replace(scn, params=replace(scn.params, b_v=b_v))
     with np.errstate(over="ignore"):  # an inf N0*B_v leaves A = 0
-        coeffs = replace(coeffs, b=scn.params.n0 * b_v, b1=b_v)
+        coeffs = reduce_coefficients(sweep, mt_index, assoc, h_sq)
     _check_rates(coeffs, mt_index)
     res = solve_iterative(coeffs, eps=eps)
     rows = []

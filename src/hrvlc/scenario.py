@@ -6,7 +6,6 @@ are converted on load.  Scenario objects are frozen dataclasses whose
 arrays are read-only, safe for concurrent read access.
 """
 
-import functools
 import itertools
 import json
 import math
@@ -92,7 +91,7 @@ class MtTable(_Columns):
 
 @dataclass(frozen=True)
 class SystemParams:
-    b_v: float   # VLC bandwidth [Hz]
+    b_v: float   # VLC bandwidth [Hz]; converge sets the sweep array here
     b_r: float   # RF bandwidth [Hz]
     n0: float    # noise PSD [W/Hz]
     t_d: float   # downlink slot [s]
@@ -376,20 +375,16 @@ def _concentrator_gain(n_c, fov):
         return n_c * n_c / sin_sq
 
 
-def _sum_others(values, skip):
-    # every value but values[skip], left to right from 0, as sum() adds
-    # before Python 3.12 (which compensates), so the link sums do not depend
-    # on the Python version; a total less values[skip] rounds differently
-    return functools.reduce(operator.add, values[:skip] + values[skip + 1:], 0)
-
-
 def associate(scn, mt_index):
     """Serving AP of one MT and its link sums, in one array pass over the APs.
 
     The serving AP has the strongest in-FOV channel gain, ties to the lowest
     index.  ``c`` sums P_T*G over the other APs, so an AP outside the FOV
     (G = 0) adds nothing; ``k2`` sums the harvest term over the other APs
-    whether inside the FOV or not.  Both sums run in AP order.
+    whether inside the FOV or not.  Both sums add left to right in AP order,
+    from 0.0, so they do not depend on numpy's pairwise ``np.sum`` or on the
+    Python version (3.12's ``sum`` compensates); a total less the serving
+    term rounds differently.
     """
     aps, mts = scn.aps, scn.mts
     area, rho, t_s, g, fov, c_rf, rho_j = mts.row(
@@ -407,21 +402,22 @@ def associate(scn, mt_index):
         gain = ((aps.m + 1.0) * area * rho * cos_m
                 * cos_angle * t_s * g) / (2.0 * math.pi * d * d)
         gain[cos_angle < math.cos(fov)] = 0.0  # none outside the FOV
-        powers = (aps.power * gain).tolist()
-        # the harvest term P_T^2/d^4 * cos^(2m), integer powers as products
+        # each link's P_T*G, then its harvest term P_T^2/d^4 * cos^(2m),
+        # integer powers as products
         d_sq = d * d
-        terms = (aps.power * aps.power / (d_sq * d_sq)
-                 * (cos_m * cos_m)).tolist()
-    # argmax ties to the lowest index; fmax takes a nan gain as 0
-    positive = np.fmax(gain, 0.0)
-    best = int(positive.argmax())
-    if positive[best] == 0.0:
-        raise NoCoverageError(
-            f"mt {mt_index}: no AP inside the field of view yields nonzero gain")
+        links = np.array((aps.power * gain, aps.power * aps.power
+                          / (d_sq * d_sq) * (cos_m * cos_m)))
+        # argmax ties to the lowest index; fmax takes a nan gain as 0
+        positive = np.fmax(gain, 0.0)
+        best = int(positive.argmax())
+        if positive[best] == 0.0:
+            raise NoCoverageError(f"mt {mt_index}: no AP inside the field of "
+                                  "view yields nonzero gain")
+        a, term = map(float, links[:, best])
+        # the other links: accumulate adds in sequence, so the last column
+        # holds each left-to-right sum, with the serving link's zero in place
+        links[:, best] = 0.0
+        c, others = map(float, np.add.accumulate(links, axis=1)[:, -1])
     scale = c_rf * scn.params.t_d * rho_j
-    return Association(
-        serving=best,
-        a=powers[best],
-        c=_sum_others(powers, best),
-        k1=scale * terms[best],
-        k2=scale * _sum_others(terms, best))
+    return Association(serving=best, a=a, c=c, k1=scale * term,
+                       k2=scale * others)

@@ -108,8 +108,8 @@ def associate_reference(scn, mt_index):
     """``associate`` AP by AP in Python floats.
 
     The strongest gain serves, ties to the lowest index, and ``c`` and
-    ``k2`` add the other APs' terms in an explicit ``acc += x`` loop in AP
-    order, as ``sum`` did before Python 3.12 began to compensate.
+    ``k2`` add the other APs' terms from 0.0 in an explicit ``acc += x``
+    loop in AP order, as ``sum`` did before Python 3.12 began to compensate.
     """
     mt = mt_rows(scn.mts)[mt_index]
     best, best_gain = None, 0.0
@@ -122,7 +122,7 @@ def associate_reference(scn, mt_index):
         terms.append(harvest_term_reference(ap, mt))
     if best is None:
         raise NoCoverageError(f"mt {mt_index}: no AP serves")
-    c = k2 = 0
+    c = k2 = 0.0
     for k, (power, term) in enumerate(zip(powers, terms)):
         if k != best:
             c += power

@@ -10,15 +10,17 @@ and the closed-form ``alpha*`` at ``h_sq = 1`` across the two configs.
 
 import copy
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hrvlc import (associate, load_scenario, reduce_coefficients,
                    solve_closed_form)
+from hrvlc.scenario import link_geometry
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import generate_hall  # noqa: E402
@@ -91,3 +93,34 @@ def test_mirroring_the_room_keeps_the_optima(doc, axis):
         device["pos"][k] = side - device["pos"][k]
     assert_same_optima(optima(doc), optima(mirrored),
                        range(len(doc["aps"])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(halls, st.data())
+def test_a_dark_ap_outside_the_fov_changes_nothing(doc, data):
+    # an AP with P_T = 0 outside a terminal's FOV adds a zero to each of its
+    # link sums, wherever it is inserted; an AP in the FOV can serve today.
+    # It hangs anywhere above the terminals, so often at a wide angle
+    room, top = doc["room"], max(mt["pos"][2] for mt in doc["mts"])
+    x, y, z = (data.draw(st.floats(0.01, 1.0)) for _ in "xyz")
+    index = data.draw(st.integers(0, len(doc["aps"])))
+    changed = copy.deepcopy(doc)
+    changed["aps"].insert(index, {
+        "pos": [room["x"] * x, room["y"] * y, top + (room["z"] - top) * z],
+        "P_T": 0.0, "half_angle_deg": 60.0})
+    before, after = (load_scenario(json.dumps(d)) for d in (doc, changed))
+    _, cos_angle = link_geometry(after.aps.position[index],
+                                 after.mts.position)
+    outside = [j for j, fov in enumerate(after.mts.fov.tolist())
+               if cos_angle[j] < math.cos(fov)]
+    assume(outside)
+    for j in outside:
+        old, new = associate(before, j), associate(after, j)
+        assert new.serving == old.serving + (old.serving >= index)
+        assert [float(v).hex() for v in (new.a, new.c, new.k1, new.k2)] == [
+            float(v).hex() for v in (old.a, old.c, old.k1, old.k2)]
+        old_res, new_res = (
+            solve_closed_form(reduce_coefficients(scn, j, assoc, 1.0))
+            for scn, assoc in ((before, old), (after, new)))
+        assert [float(v).hex() for v in (new_res.alpha, new_res.rate)] == [
+            float(v).hex() for v in (old_res.alpha, old_res.rate)]

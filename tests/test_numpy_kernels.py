@@ -7,8 +7,9 @@ through ``harvest_uplink._libm`` instead.  numpy's complex modulus is such
 a kernel too, and a scan by name cannot tell ``np.abs`` of a complex array
 from one of a real array, so the package holds no complex value at all:
 the Rician envelope takes its modulus through ``np.hypot``, which calls
-libm.  The ratchet walks ``src/hrvlc`` with ``ast`` and fails on any call
-``np.<f>`` of a name below and on any complex literal.
+libm.  The ratchet walks ``src/hrvlc`` with ``ast`` and fails on a name
+below reached through numpy, by an attribute chain or an import, and on
+any complex literal.
 
 numpy's own switch ``NPY_DISABLE_CPU_FEATURES`` then shows the rule holds:
 it masks SIMD paths for one process, so the same commands run under the
@@ -37,27 +38,56 @@ TRANSCENDENTALS = {
 }
 
 
+def _listed(name):
+    return name in TRANSCENDENTALS or name.startswith("arc") or name == "*"
+
+
+def _in_numpy(module):
+    return (module or "").partition(".")[0] == "numpy"
+
+
 def _cpu_dependent_nodes(module, source):
-    """(module, enclosing function, what) of each ``np.<name>(...)`` call of
-    a transcendental, and of each complex constant, named ``complex``."""
+    """(module, enclosing function, what) of each transcendental reached
+    through numpy, and of each complex constant, named ``complex``.
+
+    A transcendental is reached through numpy when its name is any link of
+    an attribute chain rooted at ``np``, ``numpy`` or a name the module
+    imports from numpy (``np.emath.log``, ``np.log2.reduce``, ``em.log``
+    after ``import numpy.emath as em``), or a name a ``from numpy[...]
+    import`` brings in, ``*`` included.
+    """
+    tree = ast.parse(source)
+    roots = {"np", "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.asname or "numpy" for alias in node.names
+                         if _in_numpy(alias.name))
+        elif isinstance(node, ast.ImportFrom) and _in_numpy(node.module):
+            roots.update(alias.asname or alias.name for alias in node.names)
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("np", "numpy")
-                and (node.func.attr in TRANSCENDENTALS
-                     or node.func.attr.startswith("arc"))):
-            found.append((module, function, node.func.attr))
+        if isinstance(node, ast.ImportFrom) and _in_numpy(node.module):
+            found.extend((module, function, alias.name)
+                         for alias in node.names if _listed(alias.name))
+        if isinstance(node, ast.Attribute):
+            # the whole chain a.b.c at its outermost link, then on from a
+            chain, base = [], node
+            while isinstance(base, ast.Attribute):
+                chain.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in roots:
+                found.extend((module, function, name)
+                             for name in reversed(chain) if _listed(name))
+            return visit(base, function)
         if isinstance(node, ast.Constant) and isinstance(node.value, complex):
             found.append((module, function, "complex"))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
-    visit(ast.parse(source), None)
+    visit(tree, None)
     return found
 
 
@@ -70,14 +100,24 @@ def test_no_new_numpy_transcendental():
 
 def test_the_scan_sees_each_kind_of_call():
     source = ("import numpy as np\n"
+              "import numpy.emath as em\n"
+              "from numpy import log2, sqrt\n"
               "def f(x):\n"
               "    return np.exp(x) + np.arctan2(x, x) + np.sqrt(x)\n"
               "y = np.power(2.0, 3.0)\n"
               "def g(x, y):\n"
-              "    return np.abs(x + 1j * y) + np.abs(x)\n")
+              "    return np.abs(x + 1j * y) + np.abs(x)\n"
+              "def h(x):\n"
+              "    from numpy.lib.scimath import arccos\n"
+              "    return np.emath.log(x) + np.log2.reduce(x) + em.log(x)\n"
+              "z = [x.log for x in np.add.accumulate(y)] + [log(2.0)]\n")
     assert _cpu_dependent_nodes("m.py", source) == [
-        ("m.py", "f", "exp"), ("m.py", "f", "arctan2"),
-        ("m.py", None, "power"), ("m.py", "g", "complex")]
+        ("m.py", None, "log2"), ("m.py", "f", "exp"), ("m.py", "f", "arctan2"),
+        ("m.py", None, "power"), ("m.py", "g", "complex"),
+        ("m.py", "h", "arccos"), ("m.py", "h", "log"), ("m.py", "h", "log2"),
+        ("m.py", "h", "log")]
+    assert _cpu_dependent_nodes("m.py", "from numpy import *\n") == [
+        ("m.py", None, "*")]
 
 
 # the dispatched x86 feature sets a CPU may lack, masked down to AVX2, then

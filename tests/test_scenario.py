@@ -19,7 +19,6 @@ from hrvlc.scenario import (
     _MT,
     ApTable,
     _entries,
-    _sum_others,
     link_geometry,
 )
 
@@ -271,16 +270,29 @@ class TestAssociateReference:
 
     @pytest.mark.parametrize("name", ["two_ap_room", "single_ap_room"])
     def test_shipped_configs_bit_for_bit(self, name):
-        # with one AP, c is the int 0 that an empty sum starts from
         scn = load_scenario((CONFIG_DIR / f"{name}.json").read_text())
         assert repr(associate(scn, 0)) == repr(associate_reference(scn, 0))
 
-    def test_link_sums_add_left_to_right(self):
-        # a compensated sum (Python 3.12's sum()) gives 1.0 and 6.0 here
-        assert _sum_others([1e16, 1.0, -1e16, 7.0], 3) == 0.0
-        assert _sum_others([7.0, 1e16, 1.0, -1e16, 5.0], 0) == 5.0
-        # nothing to add is the int 0 an empty sum() returns
-        assert repr(_sum_others([2.5], 0)) == "0"
+    def test_many_ap_link_sums_add_left_to_right(self):
+        # twelve APs round the serving one, the first 1e5 times as strong:
+        # np.sum adds 8 or more terms in pairs, and math.fsum (as Python
+        # 3.12's sum) compensates, and each rounds these sums differently
+        aps = [make_ap()] + [
+            make_ap(2.0 + 1.5 * math.cos(k), 2.0 + 1.5 * math.sin(k),
+                    power=1e5 if k == 0 else 1.0) for k in range(12)]
+        scn = make_scenario(aps=aps, mts=[make_mt(fov=math.radians(89))])
+        mt = mt_rows(scn.mts)[0]
+        others = ap_rows(scn.aps)[1:]
+        for values in ([ap.power * channel_gain(ap, mt).value
+                        for ap in others],
+                       [harvest_term_reference(ap, mt) for ap in others]):
+            in_sequence = 0.0
+            for value in values:
+                in_sequence += value
+            assert in_sequence != np.sum(values)
+            assert in_sequence != math.fsum(values)
+        assert associate(scn, 0).serving == 0
+        assert repr(associate(scn, 0)) == repr(associate_reference(scn, 0))
 
 
 # Every single-fault config, with the field and message it must report.  Two
