@@ -9,7 +9,7 @@ from previously written CSVs.
 import argparse
 import csv
 import functools
-import itertools
+import io
 import math
 import sys
 from dataclasses import replace
@@ -202,6 +202,36 @@ _NOT_XML = (frozenset(map(chr, range(0x20))) - set("\t\n\r")
             | {"\ufffe", "\uffff"})
 
 
+# A plain numeric CSV: a header line of printable ASCII with no quote, then
+# a body of these bytes alone holding at least one data row.  numpy's C text
+# reader splits such a body as csv does and converts each cell through
+# PyOS_string_to_double, as float() does.  Every table the commands write is
+# plain.
+_PLAIN_HEADER = bytes(range(0x20, 0x7F)).replace(b'"', b"")
+_PLAIN_BODY = b"0123456789+-.eE,\n"
+_PLAIN_CHUNK = 1 << 16
+
+
+def _plain_header(data):
+    """The header cells of ``data``, a CSV's bytes, if it is plain numeric and
+    csv's field size limit admits each of its cells; else None."""
+    limit = csv.field_size_limit()
+    start = data.find(b"\n") + 1
+    if (not start or data[:start - 1].translate(None, _PLAIN_HEADER)
+            or start > limit
+            or data.count(b"\n", start) == len(data) - start):
+        return None
+    # a cell longer than the limit fills at least one whole aligned chunk
+    step = max(1, min(_PLAIN_CHUNK, limit // 2))
+    for pos in range(start, len(data), step):
+        chunk = data[pos:pos + step]
+        if chunk.translate(None, _PLAIN_BODY) or (
+                len(chunk) == step and b"," not in chunk
+                and b"\n" not in chunk):
+            return None
+    return data[:start - 1].decode("ascii").split(",")
+
+
 def _read_numeric_csv(csv_path):
     """(header, values): a header row, then equal-width rows of finite numbers.
 
@@ -209,27 +239,37 @@ def _read_numeric_csv(csv_path):
     ``values`` is a float64 array with one row per data row. A bad file
     names its first bad row, checking each row for width, then for a
     non-numeric cell, then for a non-finite one.
+
+    A plain file (``_plain_header``) is read by ``np.loadtxt``; any other,
+    and a plain file that it refuses or that holds an inf, by ``csv`` and
+    ``float``, which name the first bad row.
     """
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+    with open(csv_path, "rb") as fh:
+        raw = fh.read()
+    header = _plain_header(raw)
+    if header is not None:
+        stream = io.BytesIO(raw)  # shares the buffer: no copy of the file
+        stream.readline()
         try:
-            table = list(filter(None, csv.reader(fh)))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise MalformedCsvError(f"{csv_path}: {exc}") from exc
+            values = np.loadtxt(stream, delimiter=",", ndmin=2)
+        except ValueError:  # a ragged row or a non-numeric cell
+            pass
+        else:
+            if (values.shape[1] == len(header) >= 2
+                    and np.isfinite(values).all()):
+                return header, values
+    try:
+        text = io.StringIO(raw.decode("utf-8"), newline="")
+        table = list(filter(None, csv.reader(text)))
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise MalformedCsvError(f"{csv_path}: {exc}") from exc
     if len(table) < 2:
         raise MalformedCsvError(f"{csv_path}: no data rows")
     header, data = table[0], table[1:]
     width = len(header)
     if width < 2:
         raise MalformedCsvError(f"{csv_path}: need at least 2 columns")
-    try:
-        if set(map(len, data)) == {width}:
-            cells = itertools.chain.from_iterable(data)
-            values = np.fromiter(map(float, cells), float, len(data) * width)
-            if np.isfinite(values).all():
-                return header, values.reshape(len(data), width)
-    except ValueError:  # a non-numeric cell
-        pass
-    # some row is bad: walk them in order to name the first
+    rows = []
     for row in data:
         if len(row) != width:
             raise MalformedCsvError(f"{csv_path}: ragged row {row!r}")
@@ -240,6 +280,8 @@ def _read_numeric_csv(csv_path):
                 f"{csv_path}: non-numeric value in {row!r}") from exc
         if not all(map(math.isfinite, cells)):
             raise MalformedCsvError(f"{csv_path}: non-finite value in {row!r}")
+        rows.append(cells)
+    return header, np.array(rows)
 
 
 def cmd_chart(csv_path, out_path):
