@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .csv_kernel import table_bytes
+from .csv_kernel import SPECS, table_bytes
 from .errors import (ConfigValidationError, ConvergenceError, HrvlcError,
                      MalformedCsvError)
 from .harvest_uplink import rician_envelope
@@ -31,20 +31,20 @@ from .scenario import associate, load_scenario
 # outweighs its saving per cell below it.  The sweep, converge and
 # montecarlo shapes cross at about 210, 235 and 280 cells.
 _KERNEL_MIN_CELLS = 300
-_SPECS = {"f": "%.17g", "i": "%d", "u": "%d"}
 
 
 def _write_csv(out_path, header, columns, tail=""):
     """The header line, a row per index of the equal-length ``columns``, then
     ``tail`` verbatim.
 
-    A float column's cells are written as ``%.17g``, an integer column's as
-    ``%d`` and any other's as ``%s``.  A numeric table of at least
-    ``_KERNEL_MIN_CELLS`` cells takes ``csv_kernel.table_bytes``, which writes
-    the row template's bytes.
+    A column's cells are written by the spec ``csv_kernel.SPECS`` gives its
+    dtype, ``%.17g`` for a float and ``%d`` for an integer, and any other's
+    as ``%s``.  A numeric table of at least ``_KERNEL_MIN_CELLS`` cells takes
+    ``csv_kernel.table_bytes``, which writes the row template's bytes; it
+    leaves a negative cell, which no command writes, to ``%``.
     """
     columns = [np.asarray(col) for col in columns]
-    specs = [_SPECS.get(col.dtype.kind, "%s") for col in columns]
+    specs = [SPECS.get(col.dtype.kind, "%s") for col in columns]
     if "%s" in specs or columns[0].size * len(columns) < _KERNEL_MIN_CELLS:
         template = ",".join(specs) + "\n"
         body = "".join([template % row for row in
@@ -131,8 +131,6 @@ def _check_rates(coeffs, mt_index):
 
 def cmd_sweep(config_path, mt_index, n_points, seed, out_path):
     """Rate components on a uniform alpha grid for one fading draw."""
-    if n_points < 2:
-        raise ValueError("--points must be >= 2")
     _, assoc, _, coeffs = _prepare(config_path, mt_index, seed)
     _check_rates(coeffs, mt_index)
     ev = total_rate(coeffs, np.linspace(0.0, 1.0, n_points))
@@ -425,6 +423,8 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        if args.command in ("sweep", "solve") and args.points < 2:
+            raise ValueError("--points must be >= 2")
         if args.command == "sweep":
             cmd_sweep(args.config, args.mt, args.points, args.seed, args.out)
         elif args.command == "solve":

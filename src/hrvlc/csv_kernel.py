@@ -5,36 +5,40 @@ takes its 17 significant digits from a double-double product (Dekker 1971)
 and is laid out on a fixed canvas, whose unwanted bytes a keep mask zeroes.
 A cell whose rounding the product cannot decide falls back to ``%``.
 
-The digits.  With ``e - 1 = floor(log2 |x|)`` read from the exponent bits,
-``X0 = floor((e - 1) * log10(2))`` is the integer ``((e - 1) * 78913) >> 18``
-(exact over the exponents taken here), so ``|x| * 10**(16 - X0)`` lies in
-[1e16, 2e17).  It rounds to 17 digits when it is below ``1e17 - 1/2``,
-that is when ``|x|`` is below ``T = 10**(X0 + 1) - 10**(X0 - 16) / 2``;
-else the exponent is ``X = X0 + 1``.  ``T`` is never a double, so the least
-double above it, read from a table by the exponent bits, decides this
-exactly.  Then ``V = |x| * 10**(16 - X)`` lies in [1e16 - 0.05, 1e17 - 1/2).
-``10**s`` is a pair (hi, lo) of correctly rounded doubles, and ``|x| * hi``
+The digits.  For a cell x in [1e-280, 1e300], with ``e - 1 = floor(log2 x)``
+read from the exponent bits, ``X0 = floor((e - 1) * log10(2))`` is the
+integer ``((e - 1) * 78913) >> 18`` (exact over the exponents taken here),
+so ``x * 10**(16 - X0)`` lies in [1e16, 2e17).  It rounds to 17 digits
+when it is below ``1e17 - 1/2``, that is when ``x`` is below
+``T = 10**(X0 + 1) - 10**(X0 - 16) / 2``; else the exponent is
+``X = X0 + 1``.  ``T`` is never a double, so the least double above it,
+read from a table by the exponent bits, decides this exactly, and every
+per-cell table is read by the key ``2 * (exponent bits) + (x >= T)``,
+below 4096.  Then ``V = x * 10**(16 - X)`` lies in [1e16 - 0.05, 1e17 - 1/2).
+``10**s`` is a pair (hi, lo) of correctly rounded doubles, and ``x * hi``
 is taken exactly as ``p + err`` by Veltkamp splitting, so ``p + q`` with
-``q = err + |x| * lo`` is V within 2**-46 (table 2**-48, ``|x| * lo``
+``q = err + x * lo`` is V within 2**-46 (table 2**-48, ``x * lo``
 2**-48, the sum into q 2**-47).  p is an integer, as V > 2**53, and the
 digits are ``p + rint(q)``.
 
 The fallback.  A cell goes to ``%`` when the fraction of q lies within
 2**-40 of a half (a tie, or too close to one for the error bound to
-decide), and when it is 0, -0, inf, nan or outside [1e-280, 1e300], where
-the table and the splitting stop.  An integer cell is the float of its
-value, whose ``%.17g`` is its ``%d`` below 2**53 in magnitude; past that,
-and at 0, it falls back to ``%d``.
+decide), and when it is negative, 0, -0, inf, nan or outside
+[1e-280, 1e300], where the table and the splitting stop: no command
+writes a negative cell.  An integer cell is the float of its value, whose
+``%.17g`` is its ``%d`` below 2**53; past that, and at 0 or below, it
+falls back to ``%d``.
 
-The layout.  A cell's canvas is 48 bytes: sign, the ``0.000`` prefix, the
-17 digits each followed by a dot slot, ``e``, the exponent's sign and
-three digits, the separator and two pad bytes.  Its digits come as five
-chunks of one and four digits from one table, and its exponent and
-separator as one row of another.  A keep mask, one row per (sign, layout),
-zeroes what ``%.17g`` does not write: the layout is the exponent's form
-(fixed at exponent -4..16, else two or three exponent digits) and the last
-nonzero digit, which fix the prefix, the digits kept and the dot.
-``bytes.translate`` then drops the zeroed bytes.
+The layout.  A cell's canvas is 48 bytes: a pad byte, the ``0.000``
+prefix, the 17 digits each followed by a dot slot, ``e``, the exponent's
+sign and three digits, the separator and two pad bytes.  Its digits come
+as five chunks of one and four digits from one table, and its exponent
+and separator as one row of another.  A keep mask, one row per layout,
+zeroes what ``%.17g`` does not write, the pad byte 0 in every row: the
+layout is the exponent's form (fixed at exponent -4..16, else two or
+three exponent digits) and the last nonzero digit, which fix the prefix,
+the digits kept and the dot.  ``bytes.translate`` then drops the zeroed
+bytes.
 
 The working set.  A table goes in blocks of at most 2**13 cells, and every
 pass of a block writes into one workspace per thread, kept between calls
@@ -55,17 +59,18 @@ import threading
 
 import numpy as np
 
+# the % spec of a cell by its column's dtype kind: float, int, uint
+SPECS = {"f": "%.17g", "i": "%d", "u": "%d"}
 _LOW, _HIGH = 1e-280, 1e300
-# the bits of _LOW, and how far |x|'s bits may pass them and stay in range
+# the bits of _LOW, and how far x's bits may pass them and stay in range
 _LOW_BITS = np.float64(_LOW).view(np.uint64)
 _SPAN_BITS = np.float64(_HIGH).view(np.uint64) - _LOW_BITS
 _TIE = 2.0 ** -40
 _WIDTH = 48
 _FIXED = range(-4, 17)  # the exponents %.17g writes without an "e"
-_LAYOUTS = (len(_FIXED) + 2) * 17  # (form, last nonzero digit) pairs
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's factor for a double
 # the digit table: 10**4 rows of four digits, then the leading digits
-# "-0.000d." from row _LEAD, then two rows per exponent from _EXPONENT
+# "\00.000d." from row _LEAD, then two rows per exponent from _EXPONENT
 _LEAD, _EXPONENT = 10000, 10010
 # cells per pass, and canvas bytes per translate
 _BLOCK_CELLS = 2 ** 13
@@ -83,8 +88,8 @@ def _tables():
 
     They are built in Python where numpy would run code the commands do
     not otherwise run, and so map in more of its library.  The per-cell
-    tables are indexed by ``key = 2 * (|x|'s exponent bits) + (|x| >= T)``,
-    plus 4096 for a negative x.
+    tables are indexed by ``key = 2 * (x's exponent bits) + (x >= T)``,
+    below 4096.
     """
     e_lo, e_hi = (math.frexp(v)[1] for v in (_LOW, _HIGH))
     x_lo, x_hi = _log10_pow2(e_lo - 1), _log10_pow2(e_hi - 1) + 1
@@ -110,18 +115,17 @@ def _tables():
     # range), then by key: X, the row of 10**(16 - X) and the exponent row
     x0 = np.clip(_log10_pow2(np.arange(2048) - 1023), x_lo, x_hi - 1)
     x_key = (x0[:, None] + [0, 1]).ravel()
-    x_key = np.concatenate((x_key, x_key))  # the same for either sign
     pow10 = tuple(t[x_hi - x_key] for t in (hi, lo, hi_hi, hi - hi_hi))
-    above = np.tile(np.array(above)[x_hi - x0], 2)
+    above = np.array(above)[x_hi - x0]
 
-    # rows "d.d.d.d." for 0000..9999, "-0.000d." for the leading digit,
+    # rows "d.d.d.d." for 0000..9999, "\00.000d." for the leading digit,
     # then "e+XXX" with "," and with "\n" for each exponent
     digits = np.zeros((_LEAD, 8), np.uint8)
     for k in range(4):  # column by column: each temporary is 10**4 long
         digits[:, 2 * k] = np.tile(np.repeat(np.arange(ord("0"), ord(":")),
                                              10 ** (3 - k)), 10 ** k)
     digits[:, 1::2] = ord(".")
-    rows = b"".join([b"-0.000%d." % d for d in range(10)]
+    rows = b"".join([b"\0" b"0.000%d." % d for d in range(10)]
                     + [b"e%+04d,\0\0e%+04d\n\0\0" % (x, x)
                        for x in range(x_lo, x_hi + 1)])
     chunk_rows = np.concatenate((digits.ravel(),
@@ -152,17 +156,13 @@ def _tables():
             if dot is not None:
                 row[2 * dot + 7] = 0xff
             keep += row
-    signed = bytearray(keep)
-    signed[::_WIDTH] = b"\xff" * _LAYOUTS  # the "-"
     fallback = bytearray(_WIDTH)  # a fallback cell keeps its separator
     fallback[45] = 0xff
-    masks = np.frombuffer(bytes(keep + signed + fallback), np.uint64)
-    # each key's mask row at 16 trailing digits: its form times 17, plus 16,
-    # plus _LAYOUTS for a negative x
+    masks = np.frombuffer(bytes(keep + fallback), np.uint64)
+    # each key's mask row at 16 trailing digits: its form times 17, plus 16
     form = np.where((x_key >= _FIXED[0]) & (x_key <= _FIXED[-1]),
                     x_key - _FIXED[0], len(_FIXED) + (x_key * x_key > 9801))
     layout = 17 * form + 16
-    layout[4096:] += _LAYOUTS
     # 8-byte rows and masks as one uint64 each
     return (pow10, above, 2 * (x_key - x_lo) + _EXPONENT, layout,
             chunk_rows.view(np.uint64), trailing_zeros,
@@ -212,38 +212,36 @@ def _write_block(columns, ws, out):
     n_cells = n_rows * n_cols
     canvas, index = ws.canvases[:, :n_cells]
     # twelve columns in the same space, 0-5 in the canvas's and 6-11 in
-    # the index's: x and |x| in 10 and 11, the digits n in 0 until the
-    # index is written, and scratch in the rest.  Every gather writes
-    # straight into its out array in mode "clip" (the default mode
-    # buffers it); its indices are in range by construction.
+    # the index's: x in 10, the digits n in 0 until the index is written,
+    # and scratch in the rest.  Every gather writes straight into its out
+    # array in mode "clip" (the default mode buffers it); its indices are
+    # in range by construction.
     f = ws.canvases.reshape(12, -1)[:, :n_cells].view(float)
     i = f.view(np.int64)
     key, flags = ws.key[:n_cells], ws.flags[:, :n_cells]
     fallback, flag = flags[:2].view(bool)
 
-    x, a = f[10], f[11]
+    x = f[10]
     for j, column in enumerate(columns):
         x[j::n_cols] = column
-    np.abs(x, out=a)
-    # out of range, nan too, where |x|'s bits pass _LOW's by more than
-    # the span, as unsigned integers
-    np.subtract(a.view(np.uint64), _LOW_BITS, out=i[1].view(np.uint64))
+    # out of range, negative and nan too, where x's bits pass _LOW's by
+    # more than the span, as unsigned integers: the sign bit passes it
+    np.subtract(x.view(np.uint64), _LOW_BITS, out=i[1].view(np.uint64))
     np.greater(i[1].view(np.uint64), _SPAN_BITS, out=fallback)
     for j, column in enumerate(columns):
         if column.dtype.kind in "iu":  # exact as a float below 2**53
-            np.greater_equal(a[j::n_cols], 2.0 ** 53, out=flag[:n_rows])
+            np.greater_equal(x[j::n_cols], 2.0 ** 53, out=flag[:n_rows])
             fallback[j::n_cols] |= flag[:n_rows]
     np.copyto(x, 1.0, where=fallback)
-    np.copyto(a, 1.0, where=fallback)
 
-    # key = 2 * (x's sign and exponent bits) + (|x| >= T)
+    # key = 2 * (x's exponent bits) + (x >= T)
     np.right_shift(x.view(np.uint64), 52, out=key.view(np.uint64))
     np.take(above, key, out=f[1], mode="clip")
-    np.greater_equal(a, f[1], out=i[2])
+    np.greater_equal(x, f[1], out=i[2])
     key <<= 1
     key += i[2]
-    q = _digits(a, key, pow10, i[0], f[1:7])
-    np.greater_equal(q, 0.5 - _TIE, out=flag)
+    q_sq = _digits(x, key, pow10, i[0], f[1:7])
+    np.greater_equal(q_sq, (0.5 - _TIE) ** 2, out=flag)
     fallback |= flag
     zeros = _chunks(i[:6], index.view(np.intp), trailing_zeros, flags[2:])
 
@@ -263,8 +261,8 @@ def _write_block(columns, ws, out):
         # each fallback text, at most 24 bytes ("-2.2250738585072014e-308"
         # or an int64), NUL-padded before its separator
         row, col = np.divmod(cells, n_cols)
-        texts = [("%d" if columns[j].dtype.kind in "iu" else "%.17g")
-                 % columns[j][r] for r, j in zip(row.tolist(), col.tolist())]
+        texts = [SPECS[columns[j].dtype.kind] % columns[j][r]
+                 for r, j in zip(row.tolist(), col.tolist())]
         text[cells, :24] = np.array(texts, "S24").view(np.uint8).reshape(
             -1, 24)
     text = text.reshape(-1)
@@ -275,8 +273,8 @@ def _write_block(columns, ws, out):
 def _digits(a, key, pow10, n, scratch):
     """The digits ``n`` of the floats ``a`` in [1e-280, 1e300]: a rounds to
     ``n * 10**(X - 16)``, 1e16 <= n < 1e17, with X read by ``key``; where
-    the returned ``|q - rint(q)|`` is within 2**-40 of a half, undecided.
-    The six float columns ``scratch`` are overwritten."""
+    the returned ``(q - rint(q))**2`` is within about 2**-40 of a quarter,
+    undecided.  The six float columns ``scratch`` are overwritten."""
     hi, lo, hi_hi, hi_lo = pow10
     p, q, a_hi, a_lo, u, t = scratch
     np.take(hi, key, out=p, mode="clip")
@@ -307,7 +305,7 @@ def _digits(a, key, pow10, n, scratch):
     np.copyto(whole, u, casting="unsafe")
     n += whole
     q -= u
-    return np.abs(q, out=q)
+    return np.multiply(q, q, out=q)
 
 
 def _chunks(cols, index, trailing_zeros, counts):

@@ -344,6 +344,17 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["sweep"], ["solve", "--method", "grid"],
+                                      ["solve", "--method", "closed"]],
+                             ids=["sweep", "solve-grid", "solve-closed"])
+    def test_one_point_names_the_option(self, tmp_path, capsys, argv):
+        # one check in main, before the config is read, for any method
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--points", "1", "--config", TWO_AP, "--mt", "0",
+                            "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --points must be >= 2\n"
+        assert not out.exists()
+
     def test_bad_mt_index_is_one(self, tmp_path):
         assert main(["solve", "--config", TWO_AP, "--mt", "5",
                      "--out", str(tmp_path / "x.csv")]) == 1
@@ -898,6 +909,10 @@ class TestCsvWriter:
                      for stat, f in (("mean", np.mean), ("std", np.std))]
         write_csv_reference(want, header, rows)
         assert got.read_bytes() == want.read_bytes()
+        # the kernel sends a negative cell to %: no command writes one
+        body = got.read_bytes().split(b"\n", 1)[1]
+        assert not [cell for cell in body.replace(b"\n", b",").split(b",")
+                    if cell.startswith(b"-")]
 
 
 class TestReusedParser:
