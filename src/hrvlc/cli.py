@@ -7,10 +7,10 @@ from previously written CSVs.
 """
 
 import argparse
-import csv
 import functools
 import io
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -200,86 +200,56 @@ _NOT_XML = (frozenset(map(chr, range(0x20))) - set("\t\n\r")
             | {"\ufffe", "\uffff"})
 
 
-# A plain numeric CSV: a header line of printable ASCII with no quote, then
-# a body of these bytes alone holding at least one data row.  numpy's C text
-# reader splits such a body as csv does and converts each cell through
-# PyOS_string_to_double, as float() does.  Every table the commands write is
-# plain.
-_PLAIN_HEADER = bytes(range(0x20, 0x7F)).replace(b'"', b"")
-_PLAIN_BODY = b"0123456789+-.eE,\n"
-_PLAIN_CHUNK = 1 << 16
-
-
-def _plain_header(data):
-    """The header cells of ``data``, a CSV's bytes, if it is plain numeric and
-    csv's field size limit admits each of its cells; else None."""
-    limit = csv.field_size_limit()
-    start = data.find(b"\n") + 1
-    if (not start or data[:start - 1].translate(None, _PLAIN_HEADER)
-            or start > limit
-            or data.count(b"\n", start) == len(data) - start):
-        return None
-    # a cell longer than the limit fills at least one whole aligned chunk
-    step = max(1, min(_PLAIN_CHUNK, limit // 2))
-    for pos in range(start, len(data), step):
-        chunk = data[pos:pos + step]
-        if chunk.translate(None, _PLAIN_BODY) or (
-                len(chunk) == step and b"," not in chunk
-                and b"\n" not in chunk):
-            return None
-    return data[:start - 1].decode("ascii").split(",")
+# The dialect every command writes and chart reads: a UTF-8 header line with
+# no '"' or CR, then rows of _BODY's bytes.  np.loadtxt reads more: CRLF, and
+# \x0b or \xa0 around a cell, where float() refuses them.
+_BODY = b"0123456789+-.eE,\n"
+# np.loadtxt counts rows from 1 at the first data row, skipping blank lines,
+# in a width change, but from 0 in a conversion
+_CONVERT_ROW = re.compile(r"(?<=to float64 at row )\d+")
 
 
 def _read_numeric_csv(csv_path):
-    """(header, values): a header row, then equal-width rows of finite numbers.
-
-    Blank lines are skipped and cells parse as ``float`` parses them;
-    ``values`` is a float64 array with one row per data row. A bad file
-    names its first bad row, checking each row for width, then for a
-    non-numeric cell, then for a non-finite one.
-
-    A plain file (``_plain_header``) is read by ``np.loadtxt``; any other,
-    and a plain file that it refuses or that holds an inf, by ``csv`` and
-    ``float``, which name the first bad row.
-    """
+    """(header, values), each cell as ``float`` parses it.  Checked in turn:
+    the header, the body's bytes, row 1's width against the header, then
+    np.loadtxt's checks of each row's width against row 1's and of its
+    cells, then the values' finiteness."""
     with open(csv_path, "rb") as fh:
         raw = fh.read()
-    header = _plain_header(raw)
-    if header is not None:
-        stream = io.BytesIO(raw)  # shares the buffer: no copy of the file
-        stream.readline()
-        try:
-            values = np.loadtxt(stream, delimiter=",", ndmin=2)
-        except ValueError:  # a ragged row or a non-numeric cell
-            pass
-        else:
-            if (values.shape[1] == len(header) >= 2
-                    and np.isfinite(values).all()):
-                return header, values
-    try:
-        text = io.StringIO(raw.decode("utf-8"), newline="")
-        table = list(filter(None, csv.reader(text)))
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise MalformedCsvError(f"{csv_path}: {exc}") from exc
-    if len(table) < 2:
+    start = raw.find(b"\n") + 1
+    if not start or raw.count(b"\n", start) == len(raw) - start:
         raise MalformedCsvError(f"{csv_path}: no data rows")
-    header, data = table[0], table[1:]
-    width = len(header)
-    if width < 2:
+    try:
+        header = raw[:start - 1].decode("utf-8").split(",")
+    except UnicodeDecodeError as exc:
+        raise MalformedCsvError(f"{csv_path}: {exc}") from exc
+    if bad := re.compile(rb'["\r]').search(raw, 0, start):
+        raise MalformedCsvError(f"{csv_path}: header byte {bad[0][0]:#04x} at "
+                                f"offset {bad.start()} is a '\"' or CR")
+    if len(header) < 2:
         raise MalformedCsvError(f"{csv_path}: need at least 2 columns")
-    rows = []
-    for row in data:
-        if len(row) != width:
-            raise MalformedCsvError(f"{csv_path}: ragged row {row!r}")
-        try:
-            cells = [float(v) for v in row]
-        except ValueError as exc:
+    # a 64 KB slice at a time: translate copies no more than the slice
+    for pos in range(start, len(raw), 1 << 16):
+        if bad := raw[pos:pos + (1 << 16)].translate(None, _BODY):
             raise MalformedCsvError(
-                f"{csv_path}: non-numeric value in {row!r}") from exc
-        if not all(map(math.isfinite, cells)):
-            raise MalformedCsvError(f"{csv_path}: non-finite value in {row!r}")
-        rows.append(cells)
-    return header, np.array(rows)
+                f"{csv_path}: data byte {bad[0]:#04x} at offset "
+                f"{raw.index(bad[:1], pos)} is not 0-9 + - . e E , or LF")
+    first = re.compile(rb"\n*[^\n]*").match(raw, start)[0].count(b",") + 1
+    if first != len(header):
+        raise MalformedCsvError(f"{csv_path}: the header has {len(header)} "
+                                f"columns, but row 1 has {first}")
+    try:
+        values = np.loadtxt(io.BytesIO(raw), delimiter=",", ndmin=2,
+                            comments=None, skiprows=1)
+    except ValueError as exc:  # numpy's message, with one row base
+        text = _CONVERT_ROW.sub(lambda row: str(int(row[0]) + 1), str(exc))
+        raise MalformedCsvError(
+            f"{csv_path}: {text.split('; use `usecols`')[0]}") from exc
+    if not np.isfinite(values).all():
+        row, col = np.argwhere(~np.isfinite(values))[0].tolist()
+        raise MalformedCsvError(f"{csv_path}: overflow to {values[row, col]} "
+                                f"at row {row + 1}, column {col + 1}")
+    return header, values
 
 
 def cmd_chart(csv_path, out_path):

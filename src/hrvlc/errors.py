@@ -30,4 +30,6 @@ class ConvergenceError(HrvlcError):
 
 
 class MalformedCsvError(HrvlcError):
-    """A CSV file handed to the chart command is empty or unreadable."""
+    """A CSV file handed to the chart command is outside the dialect the
+    commands write, has no data row, holds a row that does not parse or a
+    value past the float range, or cannot be drawn."""

@@ -7,7 +7,8 @@ association against them bit for bit; give the harvested energy that
 ``sweep`` writes, the checked first and second derivatives of R over the
 solvers' kernels, the Rician envelope density and a reference sampler
 that the fading draws are checked against, and the unconstrained
-stationary point that the solvers clamp.  The
+stationary point that the solvers clamp, and the closed form's optimum
+at 60 digits that bounds its error.  The
 cell-by-cell CSV writer and the point-by-point chart renderer are the
 references that the CLI's row-template writer and its array-pass chart
 must match byte for byte.  The draw-by-draw fading power
@@ -20,6 +21,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.special import i0e
 
@@ -349,6 +351,25 @@ def stationary_alpha(coeffs):
     if np.any((coeffs.d == 0.0) | (big_a == 0.0)):
         raise DegenerateObjective("no interior stationary point")
     return _root(coeffs, big_a)
+
+
+# A = b1*log2(1 + a/(b + c)); alpha* = clip(1 + q - p) with q = (g + e)/d and
+# p = b2/(A*ln 2); R* = R(alpha*)
+ExactOptimum = namedtuple("ExactOptimum", "big_a q p alpha rate")
+
+
+def exact_optimum(coeffs):
+    """The closed form's quantities at 60 significant digits, as mpmath
+    numbers, from the exact values of one instance's float coefficients."""
+    with mpmath.workdps(60):
+        a, b, c, d, e, g, b1, b2 = (mpmath.mpf(getattr(coeffs, name))
+                                    for name in "a b c d e g b1 b2".split())
+        big_a = b1 * mpmath.log(1 + a / (b + c), 2)
+        q, p = (g + e) / d, b2 / (big_a * mpmath.ln2)
+        alpha = min(max(1 + q - p, mpmath.mpf(0)), mpmath.mpf(1))
+        rate = alpha * big_a + b2 * mpmath.log(1 + ((1 - alpha) * d + e) / g,
+                                               2)
+        return ExactOptimum(big_a, q, p, alpha, rate)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

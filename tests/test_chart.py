@@ -2,7 +2,8 @@
 
 ``oracles.chart_reference`` is the renderer that formatted each point through
 Python floats; the array-pass chart must write its bytes for every CSV it
-accepts, and name the same first bad row for every CSV it rejects.
+accepts.  Chart reads one dialect, the one every command writes, and refuses
+any other file in one ``error:`` line that names its first fault.
 """
 
 import contextlib
@@ -85,12 +86,7 @@ class TestSameBytesAsReference:
         assert_matches_reference(csv_path)
 
     @pytest.mark.parametrize("text", [
-        '"alpha","R"\n"0","1.5"\n"0.5",3\n"1","2"\n',
-        '"alpha",R\n0,1.5\n1,2\n',
-        "alpha,R\n 0 , 1 \n0.5,\t3\n1,  2\n",
-        "a,b\n1_0,2_5\n2_0,1e1_0\n",
-        "alpha,R,S\r\n0,1,2\r\n1,2,0\r\n",
-        "\nalpha,R\n\n0,1\n\n\n1,2\n\n",
+        "alpha,R\n\n0,1\n\n\n1,2\n\n",
         "a,b,c\n5,1,2\n5,3,2\n5,2,2\n",
         "a,b\n-3,-1e-300\n-1,-5\n2,4\n",
         "a,b\n7,8\n",
@@ -102,8 +98,7 @@ class TestSameBytesAsReference:
         "x y,é\n1,2\n3,4\n",
         # the column spans more than the largest float, but no block does
         "iteration,alpha\n1,1e308\n2,0\n1,-1e308\n",
-    ], ids=["quoted", "quoted-header", "space-padded", "underscores", "crlf",
-            "blank-lines", "constant-x", "negative", "one-row",
+    ], ids=["blank-lines", "constant-x", "negative", "one-row",
             "zero-then-minus-zero", "minus-zero-then-zero", "extremes",
             "converge-resets", "converge-falling", "unicode-header",
             "blocks-apart"])
@@ -113,36 +108,137 @@ class TestSameBytesAsReference:
             assert_matches_reference(write(tmp_path, text))
 
 
-class TestFirstError:
-    """Rows in order; in each row width, then non-numeric, then non-finite."""
+# a data byte outside the dialect, as chart names it
+def not_a_data_byte(byte, offset):
+    return (f"data byte {byte:#04x} at offset {offset} is not "
+            "0-9 + - . e E , or LF")
 
-    @pytest.mark.parametrize("text, message", [
-        ("a,b\n0,1\nnan,2\n1,2\n2,3\n4\n",
-         "non-finite value in ['nan', '2']"),
-        ("a,b\n0,1\n1,2\n2,3\n4\n0,inf\n", "ragged row ['4']"),
-        ("a,b\n0,1\n0,x\n0,-inf\n", "non-numeric value in ['0', 'x']"),
-        ("a,b\n0,1\n0,-inf\n0,x\n", "non-finite value in ['0', '-inf']"),
-        ("a,b\n0,1\ninf,x\n", "non-numeric value in ['inf', 'x']"),
-        ("a,b\n0,1\nx,1,2\n", "ragged row ['x', '1', '2']"),
-        ("a,b\n0,1\n\"\"\n", "ragged row ['']"),
-        ("a,b\n", "no data rows"),
-        ("\n\n", "no data rows"),
-        # plain files that np.loadtxt refuses, or reads to an inf
-        ("a,b\n\n\n", "no data rows"),
-        ("a,b\n0,1\n1,\n1e,2\n", "non-numeric value in ['1', '']"),
-        ("a,b\n0,1\n+-1,2\n", "non-numeric value in ['+-1', '2']"),
-        ("a,b\n0,1\n\n1,2,3\n0,1e\n", "ragged row ['1', '2', '3']"),
-        ("a,b\n0,1\n1e999,1e\n", "non-numeric value in ['1e999', '1e']"),
-        ("a,b\n0,1\n1,-1e999\n1,\n", "non-finite value in ['1', '-1e999']"),
-        ("a,b\n0,1\n1,-1e999\n2,3\n", "non-finite value in ['1', '-1e999']"),
-        ("a,b,c\n0,1\n1,2\n", "ragged row ['0', '1']"),
-    ])
-    def test_names_the_reference_row(self, tmp_path, text, message):
+
+# text, the reference's message, chart's message: chart names the first byte
+# outside the dialect, else the first row that fails to parse, else the
+# first not finite, with rows counted from 1 at the first data row
+FIRST_ERRORS = [
+    ("a,b\n0,1\nnan,2\n1,2\n2,3\n4\n", "non-finite value in ['nan', '2']",
+     not_a_data_byte(ord("n"), 8)),
+    ("a,b\n0,1\n1,2\n2,3\n4\n0,inf\n", "ragged row ['4']",
+     not_a_data_byte(ord("i"), 20)),
+    ("a,b\n0,1\n0,x\n0,-inf\n", "non-numeric value in ['0', 'x']",
+     not_a_data_byte(ord("x"), 10)),
+    ("a,b\n0,1\n0,-inf\n0,x\n", "non-finite value in ['0', '-inf']",
+     not_a_data_byte(ord("i"), 11)),
+    ("a,b\n0,1\ninf,x\n", "non-numeric value in ['inf', 'x']",
+     not_a_data_byte(ord("i"), 8)),
+    ("a,b\n0,1\nx,1,2\n", "ragged row ['x', '1', '2']",
+     not_a_data_byte(ord("x"), 8)),
+    ("a,b\n0,1\n\"\"\n", "ragged row ['']", not_a_data_byte(ord('"'), 8)),
+    ("a,b\n", "no data rows", "no data rows"),
+    ("\n\n", "no data rows", "no data rows"),
+    ("a,b\n\n\n", "no data rows", "no data rows"),
+    ("a,b\n0,1\n1,\n1e,2\n", "non-numeric value in ['1', '']",
+     "could not convert string '' to float64 at row 2, column 2."),
+    ("a,b\n0,1\n+-1,2\n", "non-numeric value in ['+-1', '2']",
+     "could not convert string '+-1' to float64 at row 2, column 1."),
+    ("a,b\n0,1\n\n1,2,3\n0,1e\n", "ragged row ['1', '2', '3']",
+     "the number of columns changed from 2 to 3 at row 2"),
+    ("a,b\n0,1\n1e999,1e\n", "non-numeric value in ['1e999', '1e']",
+     "could not convert string '1e' to float64 at row 2, column 2."),
+    # a row that fails to parse comes before an earlier one not finite
+    ("a,b\n0,1\n1,-1e999\n1,\n", "non-finite value in ['1', '-1e999']",
+     "could not convert string '' to float64 at row 3, column 2."),
+    ("a,b\n0,1\n1,-1e999\n2,3\n", "non-finite value in ['1', '-1e999']",
+     "overflow to -inf at row 2, column 2"),
+    ("a,b,c\n0,1\n1,2\n", "ragged row ['0', '1']",
+     "the header has 3 columns, but row 1 has 2"),
+]
+
+
+class TestFirstError:
+    """The header, then the body's bytes, then each row's width and cells in
+    order, then the values' finiteness."""
+
+    @pytest.mark.parametrize("text, message, ours", FIRST_ERRORS,
+                             ids=[f"{text}-{message}"
+                                  for text, message, _ in FIRST_ERRORS])
+    def test_names_the_reference_row(self, tmp_path, text, message, ours):
+        # the reference names its first bad row, chart its own first fault
         path = write(tmp_path, text)
         want = outcome(chart_reference, path, tmp_path / "want.svg")
         assert want == ("error", f"{path}: {message}")
-        assert outcome(cmd_chart, path, tmp_path / "got.svg") == want
+        assert outcome(cmd_chart, path, tmp_path / "got.svg") == (
+            "error", f"{path}: {ours}")
         assert not (tmp_path / "got.svg").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('"alpha","R"\n"0","1.5"\n"0.5",3\n"1","2"\n',
+         "header byte 0x22 at offset 0 is a '\"' or CR"),
+        ('"alpha",R\n0,1.5\n1,2\n',
+         "header byte 0x22 at offset 0 is a '\"' or CR"),
+        ("alpha,R\n 0 , 1 \n0.5,\t3\n1,  2\n", not_a_data_byte(0x20, 8)),
+        ("a,b\n1_0,2_5\n2_0,1e1_0\n", not_a_data_byte(ord("_"), 5)),
+        ("alpha,R,S\r\n0,1,2\r\n1,2,0\r\n",
+         "header byte 0x0d at offset 9 is a '\"' or CR"),
+        ("alpha,R\n0,1\r\n1,2\r\n", not_a_data_byte(0x0d, 11)),
+        # the first line is the header, blank or not
+        ("\nalpha,R\n\n0,1\n\n\n1,2\n\n", "need at least 2 columns"),
+        # np.loadtxt would strip each of these around a cell
+        ("a,b\n0,1\n2\x1c,3\n", not_a_data_byte(0x1c, 9)),
+        ("a,b\n0,1\n\x0b2,3\n", not_a_data_byte(0x0b, 8)),
+        ("a,b\n0,1\n2,3\xa0\n", not_a_data_byte(0xc2, 11)),
+    ], ids=["quoted", "quoted-header", "space-padded", "underscores", "crlf",
+            "crlf-body", "leading-blank-line", "file-separator",
+            "vertical-tab", "no-break-space"])
+    def test_outside_the_dialect(self, tmp_path, capsys, text, message):
+        # the reference reads each, but chart reads only what commands write
+        path = write(tmp_path, text)
+        svg = tmp_path / "x.svg"
+        assert main(["chart", "--csv", str(path), "--out", str(svg)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        # the header comes first, then the body's bytes
+        ('"a",b\n0,x\n', "header byte 0x22 at offset 0 is a '\"' or CR"),
+        ("a\n0,x\n", "need at least 2 columns"),
+        # a byte anywhere comes before a row that fails to parse
+        ("a,b\n0\n1,2,x\n", not_a_data_byte(ord("x"), 10)),
+        # row 1 against the header, before a later row fails to parse
+        ("a,b\n0,1,2\n1,e\n", "the header has 2 columns, but row 1 has 3"),
+        # a width, then a cell, in row order; blank lines are not counted
+        ("a,b\n0,1\n\n1,e\n2\n", "could not convert string 'e' to float64 "
+         "at row 2, column 2."),
+        ("a,b\n0,1\n\n\n1\n2,e\n", "the number of columns changed from 2 "
+         "to 1 at row 2"),
+        ("a,b\n1e999,1\n2\n", "the number of columns changed from 2 to 1 at "
+         "row 2"),
+    ], ids=["header-then-body", "width-then-body", "byte-then-rows",
+            "row-1-width", "cell-then-width", "width-then-cell",
+            "parse-then-finite"])
+    def test_check_order(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        assert outcome(cmd_chart, path, tmp_path / "got.svg") == (
+            "error", f"{path}: {message}")
+
+    def test_numpy_wording_not_known_is_passed_on(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def loadtxt(*args, **kwargs):
+            raise ValueError("row 0 is not to our taste; nor is row 1")
+        monkeypatch.setattr(hrvlc.cli.np, "loadtxt", loadtxt)
+        path = write(tmp_path, "a,b\n0,1\n")
+        svg = tmp_path / "x.svg"
+        assert main(["chart", "--csv", str(path), "--out", str(svg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: row 0 is not to our taste; nor is row 1\n")
+        assert not svg.exists()
+
+    def test_header_past_utf8_names_its_offset(self, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"a,\xff\n0,1\n")
+        svg = tmp_path / "x.svg"
+        assert main(["chart", "--csv", str(path), "--out", str(svg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in "
+            "position 2: invalid start byte\n")
+        assert not svg.exists()
 
     @pytest.mark.parametrize("text", ["alpha\n0\n1\n", "iteration\n1\n2\n",
                                       "a\n1,2\n"])
@@ -180,26 +276,26 @@ class TestFirstError:
         assert not svg.exists()
 
     def test_cell_past_field_limit_is_one_error_line(self, tmp_path, capsys):
+        # longer than csv.field_size_limit(): chart reads it whole
         path = write(tmp_path, "a,b\n" + "1" * 200000 + ",2\n")
         svg = tmp_path / "x.svg"
         assert main(["chart", "--csv", str(path), "--out", str(svg)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}: field larger than field limit (131072)\n")
+            f"error: {path}: overflow to inf at row 1, column 1\n")
         assert not svg.exists()
 
-    # np.loadtxt would read the finite cell, and a long header is plain
     @pytest.mark.parametrize("text", [
         "a,b\n0." + "0" * 200000 + "1,2\n",
         "a" * 200000 + ",b\n0,1\n",
     ], ids=["finite", "header"])
-    def test_plain_cell_past_field_limit_is_one_error_line(self, tmp_path,
-                                                           capsys, text):
+    def test_cell_past_field_limit_charts(self, tmp_path, text):
         path = write(tmp_path, text)
-        svg = tmp_path / "x.svg"
-        assert main(["chart", "--csv", str(path), "--out", str(svg)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {path}: field larger than field limit (131072)\n")
-        assert not svg.exists()
+        header, values = _read_numeric_csv(str(path))
+        lines = text.splitlines()
+        assert header == lines[0].split(",")
+        assert values.tolist() == [[float(v) for v in lines[1].split(",")]]
+        assert main(["chart", "--csv", str(path), "--out",
+                     str(tmp_path / "x.svg")]) == 0
 
     def test_bytes_past_utf8_name_the_csv(self, tmp_path, capsys):
         path = tmp_path / "in.csv"
@@ -207,8 +303,7 @@ class TestFirstError:
         svg = tmp_path / "x.svg"
         assert main(["chart", "--csv", str(path), "--out", str(svg)]) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}: 'utf-8' codec can't decode byte 0xff in "
-            "position 8: invalid start byte\n")
+            f"error: {path}: {not_a_data_byte(0xff, 8)}\n")
         assert not svg.exists()
 
     def test_bytes_past_utf8_after_8_kb_name_their_offset(self, tmp_path,
@@ -218,8 +313,18 @@ class TestFirstError:
         assert main(["chart", "--csv", str(path), "--out",
                      str(tmp_path / "x.svg")]) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}: 'utf-8' codec can't decode byte 0xff in "
-            "position 20004: invalid start byte\n")
+            f"error: {path}: {not_a_data_byte(0xff, 20004)}\n")
+
+    # the body is checked 64 KB at a time from offset 4: each side of the
+    # first slice's end, and far past it
+    @pytest.mark.parametrize("offset", [65539, 65540, 400004])
+    def test_byte_in_any_slice_names_its_offset(self, tmp_path, offset):
+        data = bytearray(b"a,b\n" + b"0,1\n" * 100001)
+        data[offset] = ord("x")
+        path = tmp_path / "in.csv"
+        path.write_bytes(bytes(data))
+        assert outcome(cmd_chart, path, tmp_path / "x.svg") == (
+            "error", f"{path}: {not_a_data_byte(ord('x'), offset)}")
 
 
 class TestLabels:
@@ -233,18 +338,14 @@ class TestLabels:
         assert "&amp;" in svg.read_text() and "<b>" not in svg.read_text()
 
     def test_every_character_xml_allows_parses_back(self, tmp_path):
-        names = ["\t\u00e9\U0001f600", "\ud7ff\ue000\ufffd", "x\U0010ffff",
-                 "a\r\nb"]
-        path = tmp_path / "in.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows([["x"] + names, [0, 1, 2, 3, 4],
-                                      [1, 2, 1, 0, 5]])
+        names = ["\t\u00e9\U0001f600", "\ud7ff\ue000\ufffd", "x\U0010ffff"]
+        path = write(tmp_path,
+                     ",".join(["x"] + names) + "\n0,1,2,3\n1,2,1,0\n")
         svg = tmp_path / "x.svg"
         cmd_chart(str(path), str(svg))
         texts = [node.firstChild.data for node in
                  minidom.parse(str(svg)).getElementsByTagName("text")]
-        # the parser reads a CR LF in text as one LF
-        assert texts[-4:] == names[:3] + ["a\nb"]
+        assert texts[-3:] == names
 
 
 # cells and separators of small CSVs, numbers and non-numbers alike
@@ -258,11 +359,12 @@ PLAIN_TOKENS = st.sampled_from(["0", "1", "5", "9", ".", "e", "E", "+", "-",
 
 @st.composite
 def plain_csv_text(draw):
-    """A plain numeric CSV, with up to two plain tokens spliced in.
+    """A numeric CSV in chart's dialect, with up to two dialect tokens
+    spliced in.
 
-    Every byte is one np.loadtxt may read, so the reference checks each of
-    its refusals: ragged rows, empty cells, "1e", "+-", an overflow to inf,
-    and a body of blank lines alone.
+    Every byte is one the dialect admits, so, but for a blank first line,
+    chart refuses what the reference refuses: ragged rows, empty cells,
+    "1e", "+-", an overflow to inf, and a body of blank lines alone.
     """
     header = draw(st.sampled_from(["a,b", "iteration,alpha", "a,b,c"]))
     cell = st.one_of(PLAIN_TOKENS, st.floats(allow_nan=False,
@@ -278,24 +380,31 @@ def plain_csv_text(draw):
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=st.one_of(CSV_TEXT, plain_csv_text()))
+@given(text=st.one_of(CSV_TEXT, plain_csv_text(), st.text(max_size=40)))
 def test_chart_matches_reference_on_small_csvs(tmp_path, text):
+    """Whatever chart accepts, the reference draws to the same bytes."""
     path = write(tmp_path, text)
-    with open(path, encoding="utf-8", newline="") as fh:
-        table = list(filter(None, csv.reader(fh)))
     got = outcome(cmd_chart, path, tmp_path / "got.svg")
-    if len(table) >= 2 and len(table[0]) < 2:
-        assert got == ("error", f"{path}: need at least 2 columns")
-        return
+    # chart escapes &, < and > in a name (TestLabels); the reference does not
+    if got[0] == "ok" and set("&<>").isdisjoint(text.partition("\n")[0]):
+        assert outcome(chart_reference, path, tmp_path / "want.svg") == got
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=plain_csv_text().filter(lambda text: text[:1] != "\n"))
+def test_chart_accepts_plain_csvs_as_the_reference_does(tmp_path, text):
+    # the reference skips a blank first line, where chart reads the header
+    path = write(tmp_path, text)
+    got = outcome(cmd_chart, path, tmp_path / "got.svg")
     want = outcome(chart_reference, path, tmp_path / "want.svg")
     if want[0] == "ok" and re.search(rb'points="[^"]*nan', want[1]):
-        # the reference scaled a series by an infinite span; no token
-        # here makes a header that XML forbids
+        # the reference scaled a series by an infinite span
         assert got[0] == "error"
         assert re.fullmatch(f"{re.escape(str(path))}: column '.*' spans "
                             "more than the float range", got[1])
     else:
-        assert got == want
+        assert got[0] == want[0]
 
 
 @settings(max_examples=300, deadline=None,
@@ -308,25 +417,19 @@ def test_chart_exit_code_on_arbitrary_text(tmp_path, text):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["chart", "--csv", str(path), "--out", str(svg)])
-    assert code in (0, 1, 2)
+    assert code in (0, 1)
+    assert svg.exists() == (code == 0)
     if code == 0:
-        assert svg.exists() and err.getvalue() == ""
+        assert err.getvalue() == ""
     else:
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
 
 
-def refuse_csv_reader(monkeypatch):
-    """Make ``csv.reader`` raise, so only the plain path can read a file."""
-    def reader(*args, **kwargs):
-        raise AssertionError("csv.reader called")
-    monkeypatch.setattr(hrvlc.cli.csv, "reader", reader)
-
-
 class TestPlainReader:
-    """Plain files go through np.loadtxt, with float's values."""
+    """Every file goes through np.loadtxt, with float's values."""
 
-    def test_values_are_float_bit_for_bit(self, tmp_path, monkeypatch):
+    def test_values_are_float_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(24)
         bits = rng.integers(0, 2 ** 64, 3000, dtype=np.uint64, endpoint=False)
         finite = bits.view(np.float64)
@@ -347,7 +450,6 @@ class TestPlainReader:
         path = tmp_path / "bits.csv"
         path.write_text("a,b,c,d,e,f\n" + "".join(
             ",".join(row) + "\n" for row in rows))
-        refuse_csv_reader(monkeypatch)
         header, values = _read_numeric_csv(str(path))
         want = np.array([[float(v) for v in row] for row in rows])
         assert header == list("abcdef")
@@ -355,8 +457,7 @@ class TestPlainReader:
         assert values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("command", ["sweep", "converge"])
-    def test_command_output_takes_the_plain_path(self, tmp_path, monkeypatch,
-                                                 command):
+    def test_command_output_takes_the_plain_path(self, tmp_path, command):
         csv_path = tmp_path / "in.csv"
         if command == "sweep":
             cmd_sweep(CONFIGS[0], 0, 1001, 7, str(csv_path))
@@ -364,12 +465,13 @@ class TestPlainReader:
             cmd_converge(CONFIGS[0], 0, 1e-9, 7, str(csv_path))
         want = outcome(chart_reference, csv_path, tmp_path / "want.svg")
         assert want[0] == "ok"
-        refuse_csv_reader(monkeypatch)
+        # np.loadtxt is the one reader: no csv module to fall back on
+        assert not hasattr(hrvlc.cli, "csv")
         assert outcome(cmd_chart, csv_path, tmp_path / "got.svg") == want
 
     def test_traced_peak_of_a_long_sweep(self, tmp_path):
-        # the file's bytes, the array and one chunk of the reader: the csv
-        # path peaked near 5x the file's size
+        # the file's bytes, the array and one chunk of the reader: a csv
+        # reader peaked near 5x the file's size
         csv_path = tmp_path / "sweep.csv"
         cmd_sweep(CONFIGS[0], 0, 20001, 7, str(csv_path))
         _read_numeric_csv(str(csv_path))
