@@ -80,12 +80,13 @@ def _fading_power(k, omega, seed, n_draws):
     return h * h
 
 
-def _prepare(config_path, mt_index, seed, n_draws=None):
-    """(scenario, association, h_sq, coefficients) of one terminal.
+def _prepare(config_path, mt_index, seed, n_draws=None, swept=False):
+    """(association, h_sq, coefficients) of one terminal, its rates checked
+    by ``_check_rates``.
 
     h_sq is fading draw 0 as a float, or with n_draws an array of draws
-    0..n_draws-1.  The rates are not checked: each command passes the
-    coefficients it solves to ``_check_rates``.
+    0..n_draws-1.  With swept, B_v is the config's sweep.B_v array (its own
+    B_v when the list is empty), one coefficient set per bandwidth.
     """
     with open(config_path, "rb") as fh:
         scn = load_scenario(fh.read().decode("utf-8"))
@@ -94,15 +95,19 @@ def _prepare(config_path, mt_index, seed, n_draws=None):
         raise ValueError(f"--mt must be in [0, {n_mts})")
     assoc = associate(scn, mt_index)
     fade = scn.mts.row(mt_index, "rician_k", "rician_omega")
-    # a fade past the float range leaves an inf or nan rate: _check_rates
-    # names it, so numpy need not warn on the way
+    if swept:  # the association and the fade do not depend on B_v
+        b_v = np.array(scn.bv_sweep or (scn.params.b_v,))
+        scn = replace(scn, params=replace(scn.params, b_v=b_v))
+    # a fade past the float range, or an inf N0*B_v, leaves an inf or nan
+    # rate: _check_rates names it, so numpy need not warn on the way
     with np.errstate(over="ignore", invalid="ignore"):
         if n_draws is None:
             h_sq = float(_fading_power(*fade, seed, 1)[0])
         else:
             h_sq = _fading_power(*fade, seed, n_draws)
         coeffs = reduce_coefficients(scn, mt_index, assoc, h_sq)
-    return scn, assoc, h_sq, coeffs
+    _check_rates(coeffs, mt_index)
+    return assoc, h_sq, coeffs
 
 
 def _check_rates(coeffs, mt_index):
@@ -131,8 +136,7 @@ def _check_rates(coeffs, mt_index):
 
 def cmd_sweep(config_path, mt_index, n_points, seed, out_path):
     """Rate components on a uniform alpha grid for one fading draw."""
-    _, assoc, _, coeffs = _prepare(config_path, mt_index, seed)
-    _check_rates(coeffs, mt_index)
+    assoc, _, coeffs = _prepare(config_path, mt_index, seed)
     ev = total_rate(coeffs, np.linspace(0.0, 1.0, n_points))
     e_h = (1.0 - ev.alpha) * assoc.k1 + assoc.k2
     _write_csv(out_path, "alpha,R_total,R_d_term,R_u_term,E_H",
@@ -142,8 +146,7 @@ def cmd_sweep(config_path, mt_index, n_points, seed, out_path):
 def cmd_solve(config_path, mt_index, method, seed, out_path,
               eps=DEFAULT_EPS, n_points=10001):
     """Single optimal-alpha solve by one of the three solver routes."""
-    _, _, _, coeffs = _prepare(config_path, mt_index, seed)
-    _check_rates(coeffs, mt_index)
+    _, _, coeffs = _prepare(config_path, mt_index, seed)
     # argparse admits only the methods closed, iter and grid
     res = (solve_closed_form(coeffs) if method == "closed"
            else solve_iterative(coeffs, eps=eps) if method == "iter"
@@ -155,14 +158,7 @@ def cmd_solve(config_path, mt_index, method, seed, out_path,
 
 def cmd_converge(config_path, mt_index, eps, seed, out_path):
     """Bisection traces, one block per VLC bandwidth in the config sweep list."""
-    scn, assoc, h_sq, _ = _prepare(config_path, mt_index, seed)
-    # the association and the fade do not depend on B_v: reduce them again
-    # with B_v the sweep array
-    b_v = np.array(scn.bv_sweep or (scn.params.b_v,))
-    sweep = replace(scn, params=replace(scn.params, b_v=b_v))
-    with np.errstate(over="ignore"):  # an inf N0*B_v leaves A = 0
-        coeffs = reduce_coefficients(sweep, mt_index, assoc, h_sq)
-    _check_rates(coeffs, mt_index)
+    _, _, coeffs = _prepare(config_path, mt_index, seed, swept=True)
     res = solve_iterative(coeffs, eps=eps)
     rows = []
     for trace, alpha in zip(res.trace, res.alpha.tolist()):
@@ -177,8 +173,7 @@ def cmd_montecarlo(config_path, mt_index, n_draws, seed, out_path):
         raise ValueError("--draws must be >= 1")
     if n_draws > 2 ** 32:  # a draw index past one uint32 entropy word
         raise ValueError("--draws must be <= 4294967296")
-    _, _, h_sq, coeffs = _prepare(config_path, mt_index, seed, n_draws)
-    _check_rates(coeffs, mt_index)
+    _, h_sq, coeffs = _prepare(config_path, mt_index, seed, n_draws)
     res = solve_closed_form(coeffs)
     with np.errstate(over="ignore"):  # np.std squares the deviations
         summary = [(stat, f(res.alpha), f(res.rate))
@@ -252,6 +247,10 @@ def _read_numeric_csv(csv_path):
     return header, values
 
 
+def _escape(text):
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def cmd_chart(csv_path, out_path):
     """Render a sweep or converge CSV as a self-contained SVG line chart.
 
@@ -279,39 +278,26 @@ def cmd_chart(csv_path, out_path):
         bounds = np.arange(0, y.size + 1, x.size)
         names = columns = header[1:]
         x_label, y_label = header[0], "value (per-series normalized)"
+    # the span check and the axis labels read these: of 0.0 and -0.0, min
+    # and max keep the first
+    xs = x.tolist()
+    x_lo, x_hi = min(xs), max(xs)
     y_lo = np.minimum.reduceat(y, bounds[:-1])
     with np.errstate(over="ignore"):
-        spans = np.concatenate(([np.ptp(x)],
-                                np.maximum.reduceat(y, bounds[:-1]) - y_lo))
+        y_span = np.maximum.reduceat(y, bounds[:-1]) - y_lo
     # scaled by an infinite span, a series would be drawn at nan
-    for column, span in zip(header[:1] + columns, spans.tolist()):
+    for column, span in zip(header[:1] + columns,
+                            [x_hi - x_lo] + y_span.tolist()):
         if span == math.inf:
             raise MalformedCsvError(
                 f"{csv_path}: column {column!r} spans more than the float "
                 "range")
-    _write_svg(out_path, x, y, bounds, y_lo, spans[1:], names, x_label,
-               y_label)
-
-
-def _escape(text):
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _write_svg(out_path, x, y, bounds, y_lo, y_span, names, x_label,
-               y_label):
-    """Line chart of series ``names[k]``: ``y[bounds[k]:bounds[k + 1]]``.
-
-    ``y`` holds the series end to end and its point i is drawn at
-    ``x[i % len(x)]``: a series spans all of ``x`` or its own run of rows.
-    Each series is scaled to the plot height on its own, from its minimum
-    ``y_lo[k]`` over its finite span ``y_span[k]``.
-    """
+    # Series k is y[bounds[k]:bounds[k + 1]]: y holds the series end to end
+    # and its point i is drawn at x[i % len(x)], so a series spans all of x
+    # or its own run of rows.  Each series is scaled to the plot height on
+    # its own, from its minimum y_lo[k] over its finite span y_span[k].
     width, height, margin = 800, 500, 60
-    # the axis labels print these: of 0.0 and -0.0, min and max keep the first
-    xs = x.tolist()
-    x_lo, x_hi = min(xs), max(xs)
-    x_span = (x_hi - x_lo) or 1.0
-    px = margin + (x - x_lo) / x_span * (width - 2 * margin)
+    px = margin + (x - x_lo) / ((x_hi - x_lo) or 1.0) * (width - 2 * margin)
     counts = np.diff(bounds)
     y_span[y_span == 0.0] = 1.0
     py = height - margin - (y - np.repeat(y_lo, counts)) / np.repeat(

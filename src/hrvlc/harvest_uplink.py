@@ -1,8 +1,9 @@
-"""Light-energy harvesting under time splitting and the Rician RF uplink.
+"""The Rician RF uplink's fading envelope and the package's libm calls.
 
-The downlink slot is shared by information decoding (a fraction ``alpha``)
-and energy harvesting (the remaining ``1 - alpha``).  The harvested energy
-powers the RF uplink, whose envelope fades with a Rician law.
+``rician_envelope`` maps standard normal pairs to the uplink's Rician
+envelope |h|.  ``_libm`` and ``_pow`` take the package's pow, log2, cos and
+sin through the math module.  The harvest terms of the time split live in
+``scenario.associate`` and ``objective.reduce_coefficients``.
 """
 
 import math

@@ -91,7 +91,7 @@ class MtTable(_Columns):
 
 @dataclass(frozen=True)
 class SystemParams:
-    b_v: float   # VLC bandwidth [Hz]; converge sets the sweep array here
+    b_v: float   # VLC bandwidth [Hz]; cli._prepare sets the sweep array here
     b_r: float   # RF bandwidth [Hz]
     n0: float    # noise PSD [W/Hz]
     t_d: float   # downlink slot [s]

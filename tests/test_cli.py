@@ -19,6 +19,7 @@ from scipy import integrate, stats
 
 import hrvlc.cli
 import hrvlc.harvest_uplink
+import hrvlc.objective
 import hrvlc.optimizer
 import hrvlc.scenario
 from hrvlc import (
@@ -955,8 +956,9 @@ class TestOnePassPerCall:
     """Each call parses its config once and evaluates its AP links in one
     batched geometry call, with the Lambertian orders worked out once.
 
-    It also draws its fades through one envelope pass and bisects in at
-    most one ``solve_iterative`` call.
+    It also draws its fades through one envelope pass, reduces its
+    coefficients and checks their rates once, and bisects in at most one
+    ``solve_iterative`` call.
     """
 
     @pytest.fixture
@@ -981,7 +983,8 @@ class TestOnePassPerCall:
     def test_counts_and_digest(self, tmp_path, monkeypatch, three_ap, run,
                                bisections):
         calls = {"link_geometry": 0, "_lambertian_order": 0, "loads": 0,
-                 "rician_envelope": 0, "solve_iterative": 0}
+                 "rician_envelope": 0, "reduce_coefficients": 0,
+                 "_check_rates": 0, "solve_iterative": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -993,6 +996,8 @@ class TestOnePassPerCall:
         for fn in (hrvlc.scenario.link_geometry,
                    hrvlc.scenario._lambertian_order,
                    hrvlc.harvest_uplink.rician_envelope,
+                   hrvlc.objective.reduce_coefficients,
+                   hrvlc.cli._check_rates,
                    hrvlc.optimizer.solve_iterative):
             for mod in list(sys.modules.values()):
                 if not getattr(mod, "__name__", "").startswith("hrvlc"):
@@ -1005,6 +1010,7 @@ class TestOnePassPerCall:
         run(three_ap, str(tmp_path / "out.csv"))
         assert calls == {"link_geometry": 1, "_lambertian_order": 1,
                          "loads": 1, "rician_envelope": 1,
+                         "reduce_coefficients": 1, "_check_rates": 1,
                          "solve_iterative": bisections}
 
 
@@ -1029,7 +1035,7 @@ class TestBatchedFading:
     def test_one_fade_is_draw_zero_as_a_float(self):
         # the fade that sweep, solve and converge use
         mts = load_scenario(Path(TWO_AP).read_text()).mts
-        h_sq = hrvlc.cli._prepare(TWO_AP, 0, 5)[2]
+        _, h_sq, _ = hrvlc.cli._prepare(TWO_AP, 0, 5)
         assert type(h_sq) is float
         assert h_sq == fading_power_reference(mts.rician_k[0],
                                               mts.rician_omega[0], 5, 0)

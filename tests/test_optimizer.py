@@ -194,6 +194,26 @@ class TestIterative:
             alpha_cf = solve_closed_form(coeffs).alpha
             assert abs(alpha_it - alpha_cf) <= 2 * eps
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10 ** 9))
+    def test_within_a_few_ulp_of_the_exact_optimum(self, seed):
+        # the Newton polish lands within a few ulp of the exact root: the
+        # closed form's bound with 4 eps a term in place of 2, and R* is
+        # well conditioned.
+        # Over seeds 0-27999 (10807 interior; x86-64, numpy 2.4.6) the alpha
+        # error reached 0.80 of this bound (0.88 of the closed form's), and
+        # R*'s relative error 1.36 ulp.
+        coeffs = random_coeffs(np.random.default_rng(seed))
+        res = solve_iterative(coeffs)
+        exact = exact_optimum(coeffs)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(60):
+            big_a = float(downlink_log_term(coeffs))
+            bound = (4 * eps * (1 + abs(exact.q) + abs(exact.p))
+                     + abs(exact.p * (big_a - exact.big_a) / exact.big_a))
+            assert abs(float(res.alpha) - exact.alpha) <= bound
+            assert abs(float(res.rate) - exact.rate) <= 4 * eps * exact.rate
+
     def test_kkt_certificate_randomized(self):
         rng = np.random.default_rng(24)
         for _ in range(100):
