@@ -17,8 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from .csv_kernel import SPECS, table_bytes
-from .errors import (ConfigValidationError, ConvergenceError, HrvlcError,
-                     MalformedCsvError)
+from .errors import ConfigValidationError, HrvlcError, MalformedCsvError
 from .harvest_uplink import rician_envelope
 from .objective import downlink_log_term, reduce_coefficients, total_rate
 from .optimizer import (DEFAULT_EPS, grid_oracle, solve_closed_form,
@@ -393,9 +392,6 @@ def main(argv=None):
                            args.out)
         elif args.command == "chart":
             cmd_chart(args.csv, args.out)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (HrvlcError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

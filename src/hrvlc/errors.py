@@ -25,10 +25,6 @@ class NoCoverageError(HrvlcError):
     """Every AP yields zero channel gain for the terminal."""
 
 
-class ConvergenceError(HrvlcError):
-    """The iterative solver exhausted its iteration budget."""
-
-
 class MalformedCsvError(HrvlcError):
     """A CSV file handed to the chart command is outside the dialect the
     commands write, has no data row, holds a row that does not parse or a

@@ -64,10 +64,12 @@ def make_coeffs(**over):
     return ReducedCoefficients(**fields)
 
 
-def random_coeffs(rng, force=None):
+def random_coeffs(rng, force=None, noise_limited=False):
     """Physically plausible random coefficient set, log-uniform magnitudes.
 
     force='a0' zeros the downlink signal, force='d0' the harvest slope.
+    noise_limited=True draws the uplink noise g as d times 10**[-3, 3], in
+    place of 10**[-20, -14], from the same draw of the generator.
     """
     b1 = 10.0 ** rng.uniform(6, 8)
     b2 = 10.0 ** rng.uniform(6, 8)
@@ -76,7 +78,8 @@ def random_coeffs(rng, force=None):
     a = (b + c) * 10.0 ** rng.uniform(-2, 6)
     d = 10.0 ** rng.uniform(-6, 2)
     e = d * 10.0 ** rng.uniform(-4, 1)
-    g = 10.0 ** rng.uniform(-20, -14)
+    g = (d * 10.0 ** rng.uniform(-3, 3) if noise_limited
+         else 10.0 ** rng.uniform(-20, -14))
     if force == "a0":
         a = 0.0
     elif force == "d0":

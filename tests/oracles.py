@@ -7,8 +7,8 @@ association against them bit for bit; give the harvested energy that
 ``sweep`` writes, the checked first and second derivatives of R over the
 solvers' kernels, the Rician envelope density and a reference sampler
 that the fading draws are checked against, and the unconstrained
-stationary point that the solvers clamp, and the closed form's optimum
-at 60 digits that bounds its error.  The
+stationary point that the solvers clamp, and the rate and the closed
+form's optimum at 60 digits that bound the solvers' errors.  The
 cell-by-cell CSV writer and the point-by-point chart renderer are the
 references that the CLI's row-template writer and its array-pass chart
 must match byte for byte.  The draw-by-draw fading power
@@ -17,6 +17,7 @@ fading draws and the lockstep batched bisection must match bit for bit.
 """
 
 import csv
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -26,8 +27,7 @@ import numpy as np
 from scipy.special import i0e
 
 from hrvlc import total_rate
-from hrvlc.errors import (ConvergenceError, HrvlcError, MalformedCsvError,
-                          NoCoverageError)
+from hrvlc.errors import HrvlcError, MalformedCsvError, NoCoverageError
 from hrvlc.objective import (
     _check_alpha,
     _uplink_curvature,
@@ -269,7 +269,7 @@ def fading_power_reference(k, omega, seed, draw_index):
     return h * h
 
 
-def solve_iterative_reference(coeffs, eps=1e-9, max_iter=200):
+def solve_iterative_reference(coeffs, eps=1e-9):
     """(alpha, rate, lam, mu, trace) of one instance, bisected step by step.
 
     The trace holds (iteration, midpoint, bracket width) per step and is
@@ -289,7 +289,7 @@ def solve_iterative_reference(coeffs, eps=1e-9, max_iter=200):
     else:
         lo, hi = 0.0, 1.0
         prev = None
-        for iteration in range(1, max_iter + 1):
+        for iteration in itertools.count(1):
             mid = 0.5 * (lo + hi)
             if rate_derivative(coeffs, mid) > 0.0:
                 lo = mid
@@ -299,9 +299,6 @@ def solve_iterative_reference(coeffs, eps=1e-9, max_iter=200):
             if prev is not None and abs(mid - prev) <= eps:
                 break
             prev = mid
-        else:
-            raise ConvergenceError(
-                f"bisection did not converge in {max_iter} iterations")
         alpha = mid
         for _ in range(2):
             slope = rate_second_derivative(coeffs, alpha)
@@ -358,18 +355,31 @@ def stationary_alpha(coeffs):
 ExactOptimum = namedtuple("ExactOptimum", "big_a q p alpha rate")
 
 
+def _exact_coefficients(coeffs):
+    # d, e, g, b2 and A as mpmath numbers at the working precision
+    a, b, c, d, e, g, b1, b2 = (mpmath.mpf(getattr(coeffs, name))
+                                for name in "a b c d e g b1 b2".split())
+    return d, e, g, b2, b1 * mpmath.log(1 + a / (b + c), 2)
+
+
+def exact_rate(coeffs, alpha):
+    """R(alpha) at 60 significant digits, as an mpmath number, from the
+    exact values of one instance's float coefficients and of alpha."""
+    with mpmath.workdps(60):
+        d, e, g, b2, big_a = _exact_coefficients(coeffs)
+        alpha = mpmath.mpf(alpha)
+        return alpha * big_a + b2 * mpmath.log(1 + ((1 - alpha) * d + e) / g,
+                                               2)
+
+
 def exact_optimum(coeffs):
     """The closed form's quantities at 60 significant digits, as mpmath
     numbers, from the exact values of one instance's float coefficients."""
     with mpmath.workdps(60):
-        a, b, c, d, e, g, b1, b2 = (mpmath.mpf(getattr(coeffs, name))
-                                    for name in "a b c d e g b1 b2".split())
-        big_a = b1 * mpmath.log(1 + a / (b + c), 2)
+        d, e, g, b2, big_a = _exact_coefficients(coeffs)
         q, p = (g + e) / d, b2 / (big_a * mpmath.ln2)
         alpha = min(max(1 + q - p, mpmath.mpf(0)), mpmath.mpf(1))
-        rate = alpha * big_a + b2 * mpmath.log(1 + ((1 - alpha) * d + e) / g,
-                                               2)
-        return ExactOptimum(big_a, q, p, alpha, rate)
+        return ExactOptimum(big_a, q, p, alpha, exact_rate(coeffs, alpha))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

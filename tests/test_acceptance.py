@@ -56,13 +56,20 @@ def criterion(number, name):
     print(f"[ACCEPTANCE] criterion {number} ({name}): PASS")
 
 
-def instances(n, seed):
+def instances(n, seed, noise_limited=False):
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
         force = {0: "a0", 1: "d0"}.get(i % 10)  # 20% forced boundary cases
-        out.append(random_coeffs(rng, force=force))
+        out.append(random_coeffs(rng, force=force,
+                                 noise_limited=noise_limited))
     return out
+
+
+def both_regimes(n, seed):
+    """n instances with the uplink noise negligible (g/d <= 1e-8), then n
+    with it noise limited (g/d log-uniform in [1e-3, 1e3])."""
+    return instances(n, seed) + instances(n, seed, noise_limited=True)
 
 
 def csv_rows(path):
@@ -123,7 +130,7 @@ def test_criterion_3_solver_triple_agreement():
         n_grid = 10 ** 5
         alphas = np.linspace(0.0, 1.0, n_grid)
         tol_alpha = max(2 * eps, 2.0 / n_grid)
-        for coeffs in instances(1000, seed=202):
+        for coeffs in both_regimes(1000, seed=202):
             closed = solve_closed_form(coeffs)
             iterative = solve_iterative(coeffs, eps=eps)
             values = total_rate(coeffs, alphas).total
@@ -138,7 +145,7 @@ def test_criterion_3_solver_triple_agreement():
 
 def test_criterion_4_kkt_certificate():
     with criterion(4, "KKT certificate"):
-        for coeffs in instances(1000, seed=303):
+        for coeffs in both_regimes(1000, seed=303):
             for res in (solve_closed_form(coeffs),
                         solve_iterative(coeffs, eps=1e-9)):
                 assert res.lam >= 0.0 and res.mu >= 0.0

@@ -313,22 +313,6 @@ class TestMainExitCodes:
         assert main(["solve", "--config", str(bad), "--mt", "0",
                      "--out", str(tmp_path / "x.csv")]) == 1
 
-    @pytest.mark.parametrize("argv", [["solve", "--method", "iter"],
-                                      ["converge"]])
-    def test_step_budget_below_k_eps_is_three(self, tmp_path, capsys,
-                                              monkeypatch, argv):
-        # eps 1e-9 needs K = 30 steps: a budget of 29 exits 3, 30 passes
-        monkeypatch.setattr(hrvlc.optimizer, "MAX_ITER", 29)
-        out = tmp_path / "x.csv"
-        assert main(argv + ["--config", TWO_AP, "--mt", "0",
-                            "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "error: bisection did not converge in 29 iterations\n")
-        assert not out.exists()
-        monkeypatch.setattr(hrvlc.optimizer, "MAX_ITER", 30)
-        assert main(argv + ["--config", TWO_AP, "--mt", "0",
-                            "--out", str(out)]) == 0
-
     @pytest.mark.parametrize("argv, error", [
         pytest.param([command, "--seed", "-1"],
                      "expected non-negative integer", id=f"{command}-seed")
@@ -1153,7 +1137,7 @@ def test_any_argv_exits_with_a_documented_code(tmp_path, monkeypatch, argv):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 1, 2, 3)
+    assert code in (0, 1, 2)
     errors = [line for line in err.getvalue().splitlines()
               if ERROR_LINE.match(line)]
     assert len(errors) == (code != 0)
